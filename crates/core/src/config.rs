@@ -18,7 +18,6 @@
 
 use crate::compile::Scope;
 use crate::strategy::Strategy;
-use oraql_vm::InterpMode;
 
 /// Parsed configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,8 +40,6 @@ pub struct Config {
     pub use_cfl: bool,
     /// Dump report after the run.
     pub dump: bool,
-    /// Interpreter execution mode (`decoded` or `tree`).
-    pub interp: InterpMode,
     /// Persistent verdict-store journal path (`store = <path>`; the
     /// CLI's `--no-store` overrides it).
     pub store: Option<String>,
@@ -63,15 +60,6 @@ pub struct Config {
     /// Span-trace output path (`spans_out = <path>`; CLI flag
     /// `--spans-out`). Enables span tracing; one JSONL line per span.
     pub spans_out: Option<String>,
-    /// Speculation depth for the probe scheduler (`speculate_depth =
-    /// 3`; CLI flag `--speculate-depth`). 0 disables speculation, 1
-    /// speculates bisection siblings only, >= 2 adds grandchild hint
-    /// probes. Ignored at `jobs = 1`.
-    pub speculate_depth: u32,
-    /// Cross-case probe dedup (`cross_case_dedup = false`; CLI flag
-    /// `--no-cross-case-dedup`). On by default; only active when
-    /// `jobs > 1`.
-    pub cross_case_dedup: bool,
     /// Ground-truth soundness gate for generated (`gen:`) benchmarks
     /// (`soundness_gate = false` disables; CLI flag `--no-gate`). On by
     /// default; ignored for hand-written benchmarks, which have no
@@ -91,15 +79,12 @@ impl Default for Config {
             max_tests: 4_096,
             use_cfl: false,
             dump: false,
-            interp: InterpMode::default(),
             store: None,
             server: None,
             fault_plan: None,
             probe_deadline_ms: 0,
             metrics_out: None,
             spans_out: None,
-            speculate_depth: 1,
-            cross_case_dedup: true,
             soundness_gate: true,
         }
     }
@@ -150,10 +135,6 @@ impl Config {
                         .parse()
                         .map_err(|e| format!("line {}: bad dump: {e}", ln + 1))?
                 }
-                "interp" => {
-                    cfg.interp = InterpMode::parse(value)
-                        .ok_or_else(|| format!("line {}: bad interp: {value:?}", ln + 1))?
-                }
                 "store" => {
                     if value.is_empty() {
                         return Err(format!("line {}: store needs a path", ln + 1));
@@ -187,16 +168,6 @@ impl Config {
                     cfg.probe_deadline_ms = value
                         .parse()
                         .map_err(|e| format!("line {}: bad probe_deadline_ms: {e}", ln + 1))?
-                }
-                "speculate_depth" => {
-                    cfg.speculate_depth = value
-                        .parse()
-                        .map_err(|e| format!("line {}: bad speculate_depth: {e}", ln + 1))?
-                }
-                "cross_case_dedup" => {
-                    cfg.cross_case_dedup = value
-                        .parse()
-                        .map_err(|e| format!("line {}: bad cross_case_dedup: {e}", ln + 1))?
                 }
                 "soundness_gate" => {
                     cfg.soundness_gate = value
@@ -326,20 +297,15 @@ mod tests {
     }
 
     #[test]
-    fn parses_scheduler_knobs() {
-        let cfg = Config::parse(
-            "benchmark = x\n\
-             speculate_depth = 3\n\
-             cross_case_dedup = false\n",
-        )
-        .unwrap();
-        assert_eq!(cfg.speculate_depth, 3);
-        assert!(!cfg.cross_case_dedup);
-        let d = Config::parse("benchmark = x\n").unwrap();
-        assert_eq!(d.speculate_depth, 1);
-        assert!(d.cross_case_dedup);
-        assert!(Config::parse("benchmark = x\nspeculate_depth = deep\n").is_err());
-        assert!(Config::parse("benchmark = x\ncross_case_dedup = maybe\n").is_err());
+    fn removed_scheduler_keys_are_unknown() {
+        for key in [
+            "speculate_depth = 3",
+            "cross_case_dedup = false",
+            "interp = tree",
+        ] {
+            let err = Config::parse(&format!("benchmark = x\n{key}\n")).unwrap_err();
+            assert!(err.contains("unknown key"), "{key}: {err}");
+        }
     }
 
     #[test]

@@ -6,67 +6,64 @@
 //! configured strategy to pin down the queries that must stay
 //! pessimistic.
 //!
-//! # Probe execution and caching
+//! # Probe execution: one verdict-tier loop
 //!
-//! Every probe goes through one shared `ProbeEngine` per driver,
-//! which answers it from (in order):
+//! Every probe goes through one shared `ProbeEngine` per driver. The
+//! engine holds an ordered list of verdict tiers, fastest first:
 //!
-//! 1. the **decisions-digest cache** — identical decision vectors skip
-//!    even the recompile (parallel mode only, keyed by the case name
-//!    plus [`Decisions::render`]);
+//! 1. **memory** — [`VerdictCaches`], always on and shared by every
+//!    case of a [`run_suite`];
 //! 2. the **persistent verdict store** ([`oraql_store::Store`], when
-//!    [`DriverOptions::store`] is set) — a write-through tier behind
-//!    the in-memory caches: verdicts another *process* computed are
-//!    reused, first by decisions digest (skipping the compile), then by
-//!    executable hash (skipping the run);
-//! 3. the **executable-hash cache** — bit-identical recompilations
-//!    reuse the previous test verdict (the seed driver's cache, now a
-//!    `Mutex<HashMap>` shared across all probing threads of a suite);
-//! 4. the **verdict server** ([`oraql_served::Client`], when
-//!    [`DriverOptions::server`] is set) — the shared remote tier:
-//!    consulted in each key space only after the local tiers missed,
-//!    hits are written back locally, computed verdicts are written
-//!    through, and *any* failure degrades to the local tiers (counted
-//!    in [`FailureStats::server_down`], kept cheap by the client's
-//!    circuit breaker — see `docs/ARCHITECTURE.md` §7);
-//! 5. an actual VM execution plus output verification.
+//!    [`DriverOptions::store`] is set), which reuses verdicts another
+//!    *process* computed;
+//! 3. the **verdict server** ([`oraql_served::Client`], when
+//!    [`DriverOptions::server`] is set), the shared remote tier.
 //!
-//! Every verdict that reaches the in-memory caches is also appended to
-//! the store, and the accepted references are recorded under the case
-//! salt — the keys are salted content hashes, so a changed workload,
-//! verifier input, or fuel budget changes every key and stale entries
-//! are simply never consulted. Store hits are traced as
-//! [`ProbeKind::StoreHit`] and counted into the existing effort
-//! counters (`tests_dec_cached` for compile-free answers, `tests_cached`
-//! for run-free answers); the store's own [`oraql_store::StoreStats`]
-//! record the persistent-tier economics. Server hits are traced as
-//! [`ProbeKind::ServerHit`] and counted in [`ProbeEffort::tests_server`];
-//! the client's [`oraql_served::ClientStats`] record the remote-tier
-//! economics.
+//! Each tier files verdicts in two key spaces: the *decisions digest*
+//! (the case salt plus [`Decisions::render`]; a hit skips the compile)
+//! and the *executable hash* (the case salt plus the printed module; a
+//! hit skips the run). A probe first walks the tiers in the decisions
+//! space. On a miss it compiles, walks them again in the executable
+//! space, and on a second miss runs the VM and verifies the output. A
+//! hit is written back to every faster tier the walk passed over, and
+//! the answered outcome is filed under its decisions digest in every
+//! tier. One exception keeps local corpora seeding the shared farm: an
+//! executable hit in the store is also pushed to the server.
+//!
+//! Tier failures read as misses and never consume a retry: a store hit
+//! found corrupt ([`ProbeFailure::StoreCorrupt`]) falls through to a
+//! compile, and an unreachable or overloaded server
+//! ([`ProbeFailure::ServerDown`], [`ProbeFailure::ServerBusy`]) falls
+//! back to the local tiers, kept cheap by the client's circuit breaker
+//! (see `docs/ARCHITECTURE.md` §7).
+//!
+//! The keys are salted content hashes, so a changed workload, verifier
+//! input or fuel budget changes every key, and stale entries are never
+//! consulted. Hits are traced as [`ProbeKind::DecisionCacheHit`] /
+//! [`ProbeKind::ExeCacheHit`] (memory), [`ProbeKind::StoreHit`] or
+//! [`ProbeKind::ServerHit`], and counted in [`ProbeEffort`]
+//! (`tests_dec_cached`, `tests_cached`, `tests_server`).
 //!
 //! # Concurrency and determinism contract
 //!
-//! * With `jobs = 1` (the default) no worker pool exists, speculative
-//!   handles are deferred, and the driver reproduces the sequential
-//!   seed driver byte-for-byte: same probe order, same
-//!   [`ProbeEffort`] counters, same final [`Decisions`].
-//! * With `jobs > 1` the bisection strategies launch **speculative
-//!   sibling probes** ([`Prober::probe_speculative`]) on a bounded
-//!   [`WorkerPool`]; when the Fig. 2 deduction rule fires, the
-//!   now-unneeded sibling is cancelled. In parallel mode every probe
-//!   outcome is a pure function of the probed decision vector
-//!   (compilation and the VM are deterministic, and cache hits report
-//!   the freshly compiled unique-query count), so parallel runs are
-//!   repeatable at any job count and decide the same queries as
-//!   `jobs = 1`: the final decisions agree in
-//!   [`Decisions::canonical`] form and all verification verdicts
-//!   match. (Raw explicit vectors can differ in no-op trailing
-//!   entries, because sequential mode preserves the seed driver's
-//!   quirk of reporting the *first inserter's* unique count on an
-//!   executable-cache hit.) Effort counters and cache-hit
-//!   classifications may also differ — speculation executes extra
-//!   probes — which is why Fig. 2/Fig. 4-style analysis should consume
-//!   the probe trace ([`crate::trace`]) rather than raw counters.
+//! * With `jobs = 1` (the default) no worker pool exists and every
+//!   probe runs inline in the strategy's order. An executable-hash hit
+//!   then reports the unique-query count stored with the verdict (the
+//!   seed driver's quirk), so the stored outcome of a decision vector
+//!   depends on which vector first produced the executable.
+//! * With `jobs > 1` the bisection strategies launch one **speculative
+//!   sibling probe** ([`Prober::probe_speculative`]) per blocking probe
+//!   on a bounded [`WorkerPool`]; when the Fig. 2 deduction rule fires,
+//!   the now-unneeded sibling is cancelled. An executable-hash hit
+//!   reports the freshly compiled unique count, so every probe outcome
+//!   is a pure function of the probed decision vector and parallel runs
+//!   are repeatable at any job count. They decide the same queries as
+//!   `jobs = 1`: the final decisions agree in [`Decisions::canonical`]
+//!   form and all verification verdicts match. (Raw explicit vectors
+//!   can differ in no-op trailing entries because of the quirk above.)
+//!   Effort counters and cache-hit classifications may differ —
+//!   speculation executes extra probes — which is why Fig. 2/Fig. 4
+//!   analysis should consume the probe trace ([`crate::trace`]).
 //! * The test budget (`max_tests`) is accounted in executed tests; with
 //!   speculation those include wasted probes, so budget-truncated runs
 //!   are only guaranteed reproducible at `jobs = 1`.
@@ -92,11 +89,11 @@
 //! [`DriverError::CasePanicked`] instead of unwinding through
 //! [`run_suite`].
 
-use crate::compile::{compile, CompileOptions, Compiled, Scope};
+use crate::compile::{compile, CompileOptions, Scope};
 use crate::pass::{OptimismKind, OraqlStats, UniqueQuery};
 use crate::pool::{CancelToken, WorkerPool};
 use crate::sequence::Decisions;
-use crate::strategy::{HintHandle, ProbeOutcome, Prober, SpeculativeProbe, Strategy};
+use crate::strategy::{ProbeOutcome, Prober, SpeculativeProbe, Strategy};
 use crate::trace::{ProbeEvent, ProbeKind, TraceSink};
 use crate::verify::{Mismatch, Verifier};
 use oraql_faults::{FaultInjector, FaultSite, InjectedPanic};
@@ -104,7 +101,7 @@ use oraql_ir::module::Module;
 use oraql_obs::{Span, SpanSink};
 use oraql_passes::Stats;
 use oraql_store::Store;
-use oraql_vm::{InterpMode, Interpreter, RunOutcome, VmFault};
+use oraql_vm::{Interpreter, RunOutcome, VmFault};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -164,26 +161,10 @@ pub struct DriverOptions {
     pub max_tests: u64,
     /// Record `-debug-pass=Executions` trace lines in the final compile.
     pub trace_passes: bool,
-    /// Probe concurrency. `1` (the default) is the sequential seed
-    /// driver; `N > 1` enables speculative sibling probes on an
-    /// `N`-worker pool and the decisions-digest cache.
+    /// Probe concurrency. `1` (the default) probes inline in the
+    /// strategy's order; `N > 1` launches one speculative sibling per
+    /// blocking probe on an `N`-worker pool.
     pub jobs: usize,
-    /// Speculation lookahead of the bisection DAG (CLI:
-    /// `--speculate-depth`). `0` disables speculative probes entirely
-    /// (parallel probes still share caches), `1` (the default) launches
-    /// the immediate sibling of each blocking probe, and `>= 2`
-    /// additionally warms outcome-conditioned grandchild probes up to
-    /// `depth - 1` levels down. Ignored at `jobs = 1`: the sequential
-    /// driver never speculates regardless of this setting.
-    pub speculate_depth: u32,
-    /// Dedup identical in-flight probes across the cases of a
-    /// shared-cache suite run (CLI: `--no-cross-case-dedup` disables).
-    /// The first prober to claim a decisions digest computes it and the
-    /// rest subscribe to its verdict, and bit-identical programs under
-    /// identical verification inputs share executable verdicts across
-    /// differently-named cases. Only meaningful at `jobs > 1`; cannot
-    /// change any decision — only which cache tier answers a probe.
-    pub cross_case_dedup: bool,
     /// Probe-trace sink; every probe answer is recorded here.
     pub trace: Option<TraceSink>,
     /// Span sink (CLI: `--spans-out <path>`); when set, every case
@@ -192,26 +173,19 @@ pub struct DriverOptions {
     /// probe trace: spans carry timing topology, the trace carries
     /// verdicts.
     pub spans: Option<SpanSink>,
-    /// Interpreter execution mode for every VM run the driver performs
-    /// (baseline, probes, final). Both modes are observably identical —
-    /// see `oraql_vm::decode` — so this only affects probe latency.
-    pub interp: InterpMode,
     /// Persistent verdict store shared across processes (CLI:
-    /// `--store <path>`). `None` (the default) keeps the seed behaviour:
-    /// verdicts live and die with the process. With a store attached,
-    /// cold runs write every verdict through, and warm runs answer
-    /// probes without compiling — at *any* job count, including the
-    /// sequential `jobs = 1` driver, whose probe order is a pure
-    /// function of the answered outcomes and therefore replays
-    /// identically from stored (pass, unique) pairs.
+    /// `--store <path>`), the second verdict tier. `None` (the default)
+    /// keeps verdicts in memory only. With a store attached, cold runs
+    /// write every verdict through, and warm runs answer probes without
+    /// compiling at any job count: the `jobs = 1` probe order is a pure
+    /// function of the answered outcomes, so it replays identically
+    /// from stored (pass, unique) pairs.
     pub store: Option<Arc<Store>>,
     /// Shared verdict-server client (CLI: `--server <addr>`), the
-    /// third cache tier behind the in-memory caches and the local
-    /// store. Lookups that miss locally are answered by the server and
-    /// written back; computed verdicts are written through. Every
-    /// server error degrades to the local tiers — the client's circuit
-    /// breaker makes an unreachable server cost nothing after the
-    /// first failed call, counted in [`FailureStats::server_down`].
+    /// third verdict tier. Every server error degrades to the local
+    /// tiers; the client's circuit breaker makes an unreachable server
+    /// cost nothing after the first failed call, counted in
+    /// [`FailureStats::server_down`].
     pub server: Option<Arc<oraql_served::Client>>,
     /// Deterministic fault-injection plan applied to the probe path
     /// (CLI: `--fault-plan <spec>`). `None` (the default) injects
@@ -245,11 +219,8 @@ impl Default for DriverOptions {
             max_tests: 4_096,
             trace_passes: false,
             jobs: 1,
-            speculate_depth: 1,
-            cross_case_dedup: true,
             trace: None,
             spans: None,
-            interp: InterpMode::default(),
             store: None,
             server: None,
             faults: None,
@@ -271,8 +242,8 @@ pub struct ProbeEffort {
     pub tests_cached: u64,
     /// Tests skipped by the Fig. 2 deduction rule.
     pub tests_deduced: u64,
-    /// Probes answered from the decisions-digest cache without even
-    /// recompiling (parallel driver only).
+    /// Probes answered under their decisions digest by the memory or
+    /// store tier, without recompiling.
     pub tests_dec_cached: u64,
     /// Probes answered by the verdict server (either key space) after
     /// every local tier missed.
@@ -282,17 +253,14 @@ pub struct ProbeEffort {
     /// Speculative probes cancelled before their verdict was consumed
     /// (the deduction rule or a passing parent made them unnecessary).
     pub spec_cancelled: u64,
-    /// Fire-and-forget grandchild warm-ups launched on the pool
-    /// (`speculate_depth >= 2`).
+    /// Always 0: no probe is launched other than a sibling. Kept until
+    /// the benchmark harness stops reading it.
     pub spec_hints: u64,
     /// Speculative probes that did real work (at least a compile)
     /// *after* their waiter had already cancelled them — wasted effort,
     /// traced as [`ProbeKind::Cancelled`]. Timing-dependent by nature,
     /// so always 0 at `jobs = 1`.
     pub spec_wasted: u64,
-    /// Probes that joined an identical in-flight computation instead of
-    /// compiling a duplicate (cross-case dedup).
-    pub inflight_joins: u64,
 }
 
 /// Everything the driver learned about one benchmark.
@@ -471,53 +439,21 @@ impl FailureStats {
     }
 }
 
-/// Thread-shared probe verdict caches. One instance may back a whole
-/// suite run: the executable-hash key and the decisions digest are both
-/// salted with the case name, so entries from different benchmarks
-/// never collide even when their module text coincides (their verifier
-/// references may differ).
+/// The in-memory verdict tier. One instance may back a whole suite run:
+/// both key spaces are salted with the case name, so entries from
+/// different benchmarks never collide even when their module text
+/// coincides (their verifier references may differ).
 #[derive(Debug, Default)]
 pub struct VerdictCaches {
     /// executable hash -> (verdict, unique query count)
-    exe: Mutex<HashMap<u64, (bool, u64)>>,
+    exe: Mutex<HashMap<u64, ProbeOutcome>>,
     /// decisions digest -> (verdict, unique query count)
-    dec: Mutex<HashMap<u64, (bool, u64)>>,
-    /// Decisions digests currently being computed somewhere in the
-    /// suite (cross-case dedup): the first prober to claim a digest
-    /// computes it, identical concurrent probes subscribe and re-read
-    /// the decisions cache when the claim clears.
-    inflight: Mutex<HashSet<u64>>,
-    /// Notified whenever an in-flight claim is released.
-    inflight_cv: std::sync::Condvar,
-    /// Cross-case executable tier: verdicts keyed by *unsalted*
-    /// content (references + ignore patterns + fuel + module text, but
-    /// no case name), so bit-identical programs verified against
-    /// identical references share verdicts across differently-named
-    /// cases.
-    exe_content: Mutex<HashMap<u64, (bool, u64)>>,
-    /// Suite-global speculation priors: per query-index cluster,
-    /// (dangerous, total) counts of range outcomes reported by the
-    /// strategies. Earlier cases teach later ones which clusters tend
-    /// to be clean — those subtrees are speculated first. Affects only
-    /// pool scheduling priority, never a decision.
-    priors: Mutex<Vec<(u64, u64)>>,
+    dec: Mutex<HashMap<u64, ProbeOutcome>>,
 }
 
 fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
-
-/// Query-index clusters for the speculation priors: indices are bucketed
-/// in spans of 32, everything past the last bucket pools in the final
-/// one. Coarse on purpose — the priors only rank hint priorities.
-const PRIOR_BUCKETS: usize = 8;
-const PRIOR_SPAN: u64 = 32;
-
-/// Pool priority of sibling speculative probes. Far above any hint
-/// priority (hints use the 0..=1000 permille prior directly), so a
-/// probe whose verdict a waiter will block on always dequeues before
-/// fill-the-idle-workers grandchild speculation.
-const SIBLING_PRIORITY: i64 = 10_000;
 
 impl VerdictCaches {
     /// Entries in the executable-hash cache.
@@ -530,40 +466,127 @@ impl VerdictCaches {
         lock_ignore_poison(&self.dec).len()
     }
 
-    /// Entries in the cross-case content-keyed executable tier.
-    pub fn content_entries(&self) -> usize {
-        lock_ignore_poison(&self.exe_content).len()
-    }
-
-    fn prior_bucket(start: u64) -> usize {
-        ((start / PRIOR_SPAN) as usize).min(PRIOR_BUCKETS - 1)
-    }
-
-    /// Records one settled range outcome into the priors.
-    pub(crate) fn note_outcome(&self, start: u64, dangerous: bool) {
-        let mut p = lock_ignore_poison(&self.priors);
-        if p.is_empty() {
-            p.resize(PRIOR_BUCKETS, (0, 0));
-        }
-        let b = Self::prior_bucket(start);
-        p[b].1 += 1;
-        if dangerous {
-            p[b].0 += 1;
+    fn space(&self, space: KeySpace) -> &Mutex<HashMap<u64, ProbeOutcome>> {
+        match space {
+            KeySpace::Dec => &self.dec,
+            KeySpace::Exe => &self.exe,
         }
     }
+}
 
-    /// Fraction of past *clean* outcomes in `start`'s cluster, scaled
-    /// to 0..=1000. An empty cluster reads as 500 (no opinion), so
-    /// unknown subtrees rank between known-clean and known-dangerous.
-    pub(crate) fn clean_fraction_permille(&self, start: u64) -> i64 {
-        let p = lock_ignore_poison(&self.priors);
-        let Some(&(dangerous, total)) = p.get(Self::prior_bucket(start)) else {
-            return 500;
+/// The two key spaces every verdict tier files verdicts under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum KeySpace {
+    /// Decisions digest: a hit skips the compile.
+    Dec,
+    /// Executable hash: a hit skips the run.
+    Exe,
+}
+
+/// Where a tier sits in the funnel. The role decides how a hit is
+/// traced and counted, and which span covers the lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TierRole {
+    Memory,
+    Store,
+    Server,
+}
+
+/// One level of the verdict funnel. Lookups report tier failures as
+/// `Err`, which the probe counts and then treats as a miss; writes
+/// swallow errors, because a tier is an accelerator, never a dependency.
+trait VerdictTier: Send + Sync {
+    fn role(&self) -> TierRole;
+    fn get(
+        &self,
+        space: KeySpace,
+        key: u64,
+        fx: &AttemptFaults,
+    ) -> Result<Option<ProbeOutcome>, ProbeFailure>;
+    fn put(&self, space: KeySpace, key: u64, v: ProbeOutcome);
+}
+
+impl VerdictTier for VerdictCaches {
+    fn role(&self) -> TierRole {
+        TierRole::Memory
+    }
+
+    fn get(
+        &self,
+        space: KeySpace,
+        key: u64,
+        _: &AttemptFaults,
+    ) -> Result<Option<ProbeOutcome>, ProbeFailure> {
+        Ok(lock_ignore_poison(self.space(space)).get(&key).copied())
+    }
+
+    fn put(&self, space: KeySpace, key: u64, v: ProbeOutcome) {
+        lock_ignore_poison(self.space(space)).insert(key, v);
+    }
+}
+
+impl VerdictTier for Store {
+    fn role(&self) -> TierRole {
+        TierRole::Store
+    }
+
+    /// The `store-read-corrupt` fault turns a hit into a checksum
+    /// failure: the record is discarded and the attempt recomputes.
+    fn get(
+        &self,
+        space: KeySpace,
+        key: u64,
+        fx: &AttemptFaults,
+    ) -> Result<Option<ProbeOutcome>, ProbeFailure> {
+        let found = match space {
+            KeySpace::Dec => self.dec_verdict(key),
+            KeySpace::Exe => self.exe_verdict(key),
         };
-        if total == 0 {
-            return 500;
+        match found {
+            Some(_) if fx.store_read_corrupt => Err(ProbeFailure::StoreCorrupt),
+            found => Ok(found.map(|(pass, unique)| ProbeOutcome { pass, unique })),
         }
-        (((total - dangerous) * 1000) / total) as i64
+    }
+
+    /// A read-only or full disk degrades the store to a read tier.
+    fn put(&self, space: KeySpace, key: u64, v: ProbeOutcome) {
+        let _ = match space {
+            KeySpace::Dec => self.record_dec(key, v.pass, v.unique),
+            KeySpace::Exe => self.record_exe(key, v.pass, v.unique),
+        };
+    }
+}
+
+impl VerdictTier for oraql_served::Client {
+    fn role(&self) -> TierRole {
+        TierRole::Server
+    }
+
+    /// `BUSY` is overload, not failure: it never trips the client's
+    /// breaker. Every other error is a down server.
+    fn get(
+        &self,
+        space: KeySpace,
+        key: u64,
+        _: &AttemptFaults,
+    ) -> Result<Option<ProbeOutcome>, ProbeFailure> {
+        let res = match space {
+            KeySpace::Dec => self.get_dec(key),
+            KeySpace::Exe => self.get_exe(key),
+        };
+        match res {
+            Ok(found) => Ok(found.map(|(pass, unique)| ProbeOutcome { pass, unique })),
+            Err(oraql_served::ClientError::Busy) => Err(ProbeFailure::ServerBusy),
+            Err(_) => Err(ProbeFailure::ServerDown),
+        }
+    }
+
+    /// The client's own counters record failed writes.
+    fn put(&self, space: KeySpace, key: u64, v: ProbeOutcome) {
+        let _ = match space {
+            KeySpace::Dec => self.put_dec(key, v.pass, v.unique),
+            KeySpace::Exe => self.put_exe(key, v.pass, v.unique),
+        };
     }
 }
 
@@ -577,11 +600,10 @@ fn module_text_hash(salt: u64, text: &str) -> u64 {
 /// Registry handles for the probing driver, resolved once. Per-kind
 /// probe counters are bumped in [`ProbeEngine::trace_event`] (the one
 /// point every probe answer flows through, sink or no sink); the
-/// funnel counters are bumped at each cache-tier site in
+/// funnel counters are bumped by the tier loop in
 /// [`ProbeEngine::attempt`], so `dec_cache_hits + store_dec_hits +
 /// server_dec_hits + compiles` accounts for every attempt that reached
-/// the waterfall, and `compiles` fans out into the exe tiers the same
-/// way.
+/// the funnel, and `compiles` fans out into the exe tiers the same way.
 struct DriverMetrics {
     probes: &'static oraql_obs::Counter,
     executed: &'static oraql_obs::Counter,
@@ -592,20 +614,13 @@ struct DriverMetrics {
     deduced: &'static oraql_obs::Counter,
     faulted: &'static oraql_obs::Counter,
     spec_launched: &'static oraql_obs::Counter,
-    spec_hints: &'static oraql_obs::Counter,
     spec_cancelled: &'static oraql_obs::Counter,
     spec_wasted: &'static oraql_obs::Counter,
     retries: &'static oraql_obs::Counter,
     quarantined: &'static oraql_obs::Counter,
-    funnel_dec_cache_hits: &'static oraql_obs::Counter,
-    funnel_inflight_joins: &'static oraql_obs::Counter,
-    funnel_content_exe_hits: &'static oraql_obs::Counter,
-    funnel_store_dec_hits: &'static oraql_obs::Counter,
-    funnel_server_dec_hits: &'static oraql_obs::Counter,
+    /// Tier hits, indexed by `[TierRole][KeySpace]`.
+    funnel_hits: [[&'static oraql_obs::Counter; 2]; 3],
     funnel_compiles: &'static oraql_obs::Counter,
-    funnel_exe_cache_hits: &'static oraql_obs::Counter,
-    funnel_store_exe_hits: &'static oraql_obs::Counter,
-    funnel_server_exe_hits: &'static oraql_obs::Counter,
     funnel_vm_runs: &'static oraql_obs::Counter,
     probe_micros: &'static oraql_obs::Histogram,
     compile_micros: &'static oraql_obs::Histogram,
@@ -627,20 +642,25 @@ fn dmetrics() -> &'static DriverMetrics {
             deduced: r.counter("oraql_driver_probe_deduced_total"),
             faulted: r.counter("oraql_driver_probe_faulted_total"),
             spec_launched: r.counter("oraql_driver_speculation_launched_total"),
-            spec_hints: r.counter("oraql_driver_speculation_hints_total"),
             spec_cancelled: r.counter("oraql_driver_speculation_cancelled_total"),
             spec_wasted: r.counter("oraql_driver_speculation_wasted_total"),
             retries: r.counter("oraql_driver_retries_total"),
             quarantined: r.counter("oraql_driver_quarantined_total"),
-            funnel_dec_cache_hits: r.counter("oraql_driver_funnel_dec_cache_hits_total"),
-            funnel_inflight_joins: r.counter("oraql_driver_funnel_inflight_joins_total"),
-            funnel_content_exe_hits: r.counter("oraql_driver_funnel_content_exe_hits_total"),
-            funnel_store_dec_hits: r.counter("oraql_driver_funnel_store_dec_hits_total"),
-            funnel_server_dec_hits: r.counter("oraql_driver_funnel_server_dec_hits_total"),
+            funnel_hits: [
+                [
+                    r.counter("oraql_driver_funnel_dec_cache_hits_total"),
+                    r.counter("oraql_driver_funnel_exe_cache_hits_total"),
+                ],
+                [
+                    r.counter("oraql_driver_funnel_store_dec_hits_total"),
+                    r.counter("oraql_driver_funnel_store_exe_hits_total"),
+                ],
+                [
+                    r.counter("oraql_driver_funnel_server_dec_hits_total"),
+                    r.counter("oraql_driver_funnel_server_exe_hits_total"),
+                ],
+            ],
             funnel_compiles: r.counter("oraql_driver_funnel_compiles_total"),
-            funnel_exe_cache_hits: r.counter("oraql_driver_funnel_exe_cache_hits_total"),
-            funnel_store_exe_hits: r.counter("oraql_driver_funnel_store_exe_hits_total"),
-            funnel_server_exe_hits: r.counter("oraql_driver_funnel_server_exe_hits_total"),
             funnel_vm_runs: r.counter("oraql_driver_funnel_vm_runs_total"),
             probe_micros: r.histogram("oraql_driver_probe_micros"),
             compile_micros: r.histogram("oraql_driver_compile_micros"),
@@ -670,23 +690,8 @@ fn case_salt(case: &TestCase, references: &[String]) -> u64 {
     h.finish()
 }
 
-/// Like [`case_salt`] but *without* the case name: the key space of the
-/// cross-case content tier. Two cases that build bit-identical modules
-/// and verify them against identical references, ignore patterns, and
-/// fuel produce the same content key — the verdict is the same fact
-/// regardless of what the cases are called.
-fn content_salt(case: &TestCase, references: &[String]) -> u64 {
-    let mut h = DefaultHasher::new();
-    references.hash(&mut h);
-    case.ignore_patterns.hash(&mut h);
-    case.fuel.hash(&mut h);
-    h.finish()
-}
-
 /// The probe execution engine: everything needed to answer one probe,
-/// shareable across the worker pool (`Sync`). The seed driver's
-/// `compile_with` + `probe` logic lives here unchanged; the caches are
-/// merely behind mutexes now.
+/// shareable across the worker pool (`Sync`).
 struct ProbeEngine {
     case_name: String,
     salt: u64,
@@ -695,28 +700,13 @@ struct ProbeEngine {
     use_cfl: bool,
     optimism: OptimismKind,
     fuel: u64,
-    interp: InterpMode,
     verifier: Verifier,
-    /// Enables the decisions-digest cache (parallel mode only, so that
-    /// `jobs = 1` reproduces seed effort counters exactly).
-    use_dec_cache: bool,
-    /// Enables cross-case dedup: in-flight digest claims plus the
-    /// content-keyed executable tier. Implies `use_dec_cache` (gated on
-    /// `jobs > 1 && cross_case_dedup`).
-    dedupe: bool,
-    /// Unsalted key base of the cross-case content tier (references +
-    /// ignore patterns + fuel, no case name).
-    content_salt: u64,
-    caches: Arc<VerdictCaches>,
-    /// Persistent write-through tier behind the in-memory caches.
-    /// Consulted at any job count: stored outcomes are pure functions
-    /// of the probed decision vector, so replaying them cannot perturb
-    /// the bisection path.
-    store: Option<Arc<Store>>,
-    /// Remote read/write tier behind the local store: the shared
-    /// verdict server. Consulted only after every local tier missed;
-    /// hits are written back locally so the next miss stays local.
-    server: Option<Arc<oraql_served::Client>>,
+    /// The verdict funnel, fastest first: memory, then the store and
+    /// the server when configured.
+    tiers: Vec<Arc<dyn VerdictTier>>,
+    /// No worker pool: an executable hit reports the stored unique
+    /// count instead of the fresh one (see the module docs).
+    sequential: bool,
     effort: Mutex<ProbeEffort>,
     trace: Option<TraceSink>,
     trace_seq: AtomicU64,
@@ -759,32 +749,6 @@ const MAY_ALIAS: ProbeOutcome = ProbeOutcome {
     pass: false,
     unique: 0,
 };
-
-/// How [`ProbeEngine::claim_or_subscribe`] resolved a digest.
-enum ClaimOutcome {
-    /// This thread computes the digest. The guard (when present)
-    /// releases the claim on every exit path, unwinds included; `None`
-    /// means a subscription timed out and we compute unclaimed.
-    Compute(Option<InflightClaim>),
-    /// The in-flight claimer finished; its verdict was read back from
-    /// the decisions cache.
-    Answered(bool, u64),
-    /// The advisory cancel token fired while subscribed.
-    Cancelled,
-}
-
-/// RAII release of an in-flight digest claim (cross-case dedup).
-struct InflightClaim {
-    caches: Arc<VerdictCaches>,
-    digest: u64,
-}
-
-impl Drop for InflightClaim {
-    fn drop(&mut self) {
-        lock_ignore_poison(&self.caches.inflight).remove(&self.digest);
-        self.caches.inflight_cv.notify_all();
-    }
-}
 
 /// Best-effort human-readable panic payload.
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
@@ -852,45 +816,6 @@ impl ProbeEngine {
     fn note_wasted(&self, digest: u64, pass: bool, unique: u64, started: Instant) {
         self.effort().spec_wasted += 1;
         self.trace_event(digest, ProbeKind::Cancelled, pass, unique, true, started);
-    }
-
-    /// Cross-case in-flight dedup: the first requester of a decisions
-    /// digest claims it and computes; identical concurrent requesters
-    /// subscribe, waking on claim releases to re-read the decisions
-    /// cache. A subscriber that outwaits the probe deadline (the
-    /// claimer hung, or was quarantined without caching anything)
-    /// computes unclaimed rather than stalling — correctness never
-    /// depends on the claim, it only avoids duplicate work. Claimers
-    /// never wait, so the one waiting level cannot deadlock.
-    fn claim_or_subscribe(&self, digest: u64, cancel: Option<&CancelToken>) -> ClaimOutcome {
-        let give_up = Instant::now() + self.deadline.unwrap_or(Duration::from_secs(2));
-        loop {
-            {
-                let mut set = lock_ignore_poison(&self.caches.inflight);
-                if !set.contains(&digest) {
-                    set.insert(digest);
-                    return ClaimOutcome::Compute(Some(InflightClaim {
-                        caches: Arc::clone(&self.caches),
-                        digest,
-                    }));
-                }
-                let (set, _) = self
-                    .caches
-                    .inflight_cv
-                    .wait_timeout(set, Duration::from_millis(10))
-                    .unwrap_or_else(|p| p.into_inner());
-                drop(set);
-            }
-            if let Some(&(pass, unique)) = lock_ignore_poison(&self.caches.dec).get(&digest) {
-                return ClaimOutcome::Answered(pass, unique);
-            }
-            if cancel.is_some_and(|t| t.is_cancelled()) {
-                return ClaimOutcome::Cancelled;
-            }
-            if Instant::now() >= give_up {
-                return ClaimOutcome::Compute(None);
-            }
-        }
     }
 
     /// Opens a child span under `parent` when span tracing is on.
@@ -1043,13 +968,70 @@ impl ProbeEngine {
         }
     }
 
-    /// One raw probe attempt: decisions cache, store tier, compile,
-    /// executable cache, then an actual execution — with `fx`'s faults
-    /// injected at their sites. `Ok(None)` means the advisory cancel
-    /// token fired: a cancelled speculative probe stops between the
-    /// compile and the (usually much more expensive) test execution
-    /// without recording a probe answer. The waiter recomputes inline
-    /// in that case, so verdicts are never lost — only wasted work is.
+    /// Walks the tiers in `space`, fastest first, and returns the first
+    /// hit, classified for the trace. A failed lookup is counted and
+    /// read as a miss. A hit is written back to every faster tier the
+    /// walk passed over; an executable hit in the store also seeds the
+    /// slower tiers, so local corpora feed the shared server too.
+    fn lookup(
+        &self,
+        space: KeySpace,
+        key: u64,
+        fx: &AttemptFaults,
+        probe_span: u64,
+    ) -> Option<(ProbeKind, ProbeOutcome)> {
+        for (i, tier) in self.tiers.iter().enumerate() {
+            let role = tier.role();
+            let found = {
+                let _s = match role {
+                    TierRole::Memory => None,
+                    TierRole::Store => self.span("store", probe_span),
+                    TierRole::Server => self.span("server", probe_span),
+                };
+                tier.get(space, key, fx)
+            };
+            let hit = match found {
+                Ok(Some(hit)) => hit,
+                Ok(None) => continue,
+                Err(f) => {
+                    self.note_failure(&f);
+                    continue;
+                }
+            };
+            let seeds = if role == TierRole::Store && space == KeySpace::Exe {
+                &self.tiers[i + 1..]
+            } else {
+                &[]
+            };
+            for t in self.tiers[..i].iter().chain(seeds) {
+                t.put(space, key, hit);
+            }
+            dmetrics().funnel_hits[role as usize][space as usize].inc();
+            let mut e = self.effort();
+            let (count, kind) = match (role, space) {
+                (TierRole::Memory, KeySpace::Dec) => {
+                    (&mut e.tests_dec_cached, ProbeKind::DecisionCacheHit)
+                }
+                (TierRole::Memory, KeySpace::Exe) => (&mut e.tests_cached, ProbeKind::ExeCacheHit),
+                (TierRole::Store, KeySpace::Dec) => (&mut e.tests_dec_cached, ProbeKind::StoreHit),
+                (TierRole::Store, KeySpace::Exe) => (&mut e.tests_cached, ProbeKind::StoreHit),
+                (TierRole::Server, _) => (&mut e.tests_server, ProbeKind::ServerHit),
+            };
+            *count += 1;
+            return Some((kind, hit));
+        }
+        None
+    }
+
+    /// One raw probe attempt: the tiers by decisions digest, a compile,
+    /// the tiers by executable hash, then an actual execution — with
+    /// `fx`'s faults injected at their sites. The answered outcome is
+    /// filed under its decisions digest in every tier. `Ok(None)` means
+    /// the advisory cancel token fired: a cancelled speculative probe
+    /// stops between the compile and the (usually much more expensive)
+    /// test execution without recording a probe answer. The waiter
+    /// recomputes inline in that case, so verdicts are never lost —
+    /// only wasted work is.
     fn attempt(
         &self,
         d: &Decisions,
@@ -1060,113 +1042,13 @@ impl ProbeEngine {
     ) -> Result<Option<ProbeOutcome>, ProbeFailure> {
         let started = Instant::now();
         let digest = decisions_digest(self.salt, d);
-        if self.use_dec_cache {
-            if let Some(&(pass, unique)) = lock_ignore_poison(&self.caches.dec).get(&digest) {
-                self.effort().tests_dec_cached += 1;
-                dmetrics().funnel_dec_cache_hits.inc();
-                self.trace_event(
-                    digest,
-                    ProbeKind::DecisionCacheHit,
-                    pass,
-                    unique,
-                    speculative,
-                    started,
-                );
-                return Ok(Some(ProbeOutcome { pass, unique }));
-            }
-        }
-        if let Some(store) = &self.store {
-            // Persistent decisions-digest tier: a previous process (or
-            // an earlier case of this run) already answered this exact
-            // decision vector — skip even the compile.
-            let found = {
-                let _s = self.span("store", probe_span);
-                store.dec_verdict(digest)
-            };
-            if let Some((pass, unique)) = found {
-                if fx.store_read_corrupt {
-                    // Injected read-side rot: the hit fails its
-                    // checksum, is discarded, and the attempt falls
-                    // through to a real compile. No retry consumed —
-                    // the recompute below is already the recovery.
-                    self.note_failure(&ProbeFailure::StoreCorrupt);
-                } else {
-                    self.effort().tests_dec_cached += 1;
-                    dmetrics().funnel_store_dec_hits.inc();
-                    if self.use_dec_cache {
-                        lock_ignore_poison(&self.caches.dec).insert(digest, (pass, unique));
-                    }
-                    self.trace_event(
-                        digest,
-                        ProbeKind::StoreHit,
-                        pass,
-                        unique,
-                        speculative,
-                        started,
-                    );
-                    return Ok(Some(ProbeOutcome { pass, unique }));
-                }
-            }
-        }
-        let server_dec = {
-            let _s = self
-                .server
-                .is_some()
-                .then(|| self.span("server", probe_span));
-            self.server_get(digest, false)
-        };
-        if let Some((pass, unique)) = server_dec {
-            // Server decisions-digest tier: another tenant (or an
-            // earlier run of this machine) already answered this exact
-            // decision vector. Write the verdict back through the
-            // local tiers so the next miss never leaves the process.
-            self.effort().tests_server += 1;
-            dmetrics().funnel_server_dec_hits.inc();
-            if self.use_dec_cache {
-                lock_ignore_poison(&self.caches.dec).insert(digest, (pass, unique));
-            }
-            self.store_dec(digest, pass, unique);
-            self.trace_event(
-                digest,
-                ProbeKind::ServerHit,
-                pass,
-                unique,
-                speculative,
-                started,
-            );
-            return Ok(Some(ProbeOutcome { pass, unique }));
+        if let Some((kind, o)) = self.lookup(KeySpace::Dec, digest, &fx, probe_span) {
+            self.trace_event(digest, kind, o.pass, o.unique, speculative, started);
+            return Ok(Some(o));
         }
         if cancel.is_some_and(|t| t.is_cancelled()) {
             return Ok(None);
         }
-        // Cross-case in-flight dedup: either claim this digest (and
-        // compute below, releasing the claim on any exit) or subscribe
-        // to the prober already computing it.
-        let _claim = if self.dedupe {
-            match self.claim_or_subscribe(digest, cancel) {
-                ClaimOutcome::Compute(claim) => claim,
-                ClaimOutcome::Answered(pass, unique) => {
-                    {
-                        let mut e = self.effort();
-                        e.tests_dec_cached += 1;
-                        e.inflight_joins += 1;
-                    }
-                    dmetrics().funnel_inflight_joins.inc();
-                    self.trace_event(
-                        digest,
-                        ProbeKind::DecisionCacheHit,
-                        pass,
-                        unique,
-                        speculative,
-                        started,
-                    );
-                    return Ok(Some(ProbeOutcome { pass, unique }));
-                }
-                ClaimOutcome::Cancelled => return Ok(None),
-            }
-        } else {
-            None
-        };
         if fx.compile_panic {
             std::panic::panic_any(InjectedPanic("probe pass-pipeline compile"));
         }
@@ -1195,163 +1077,60 @@ impl ProbeEngine {
             .as_ref()
             .map(|s| s.lock().stats.unique())
             .unwrap_or(0);
-        let text = oraql_ir::printer::module_str(&compiled.module);
-        let h = module_text_hash(self.salt, &text);
-        let content_key = module_text_hash(self.content_salt, &text);
-        let hit = lock_ignore_poison(&self.caches.exe).get(&h).copied();
-        if let Some((pass, cached_unique)) = hit {
-            self.effort().tests_cached += 1;
-            dmetrics().funnel_exe_cache_hits.inc();
-            // Sequential mode preserves the seed driver's quirk of
-            // reporting the unique count recorded when the verdict was
-            // first cached. Parallel mode reports the freshly compiled
-            // count instead: cache insertion order is
-            // scheduling-dependent under speculation, and the fresh
-            // count makes every probe outcome a pure function of the
-            // probed decision vector — which is what keeps the
-            // bisection path (and the final decisions) identical across
-            // job counts.
-            let unique = if self.use_dec_cache {
-                unique
-            } else {
-                cached_unique
-            };
-            if self.use_dec_cache {
-                lock_ignore_poison(&self.caches.dec).insert(digest, (pass, unique));
-            }
-            self.store_dec(digest, pass, unique);
-            self.server_put_dec(digest, pass, unique);
-            self.trace_event(
-                digest,
-                ProbeKind::ExeCacheHit,
-                pass,
-                unique,
-                speculative,
-                started,
-            );
-            return Ok(Some(ProbeOutcome { pass, unique }));
-        }
-        if self.dedupe {
-            // Cross-case content tier: a differently-named case with
-            // identical verification inputs already ran this exact
-            // executable. Adopt its verdict into this case's salted
-            // tiers and skip the run.
-            let content_hit = lock_ignore_poison(&self.caches.exe_content)
-                .get(&content_key)
-                .copied();
-            if let Some((pass, _)) = content_hit {
-                self.effort().tests_cached += 1;
-                dmetrics().funnel_content_exe_hits.inc();
-                // `dedupe` implies `use_dec_cache`, so the parallel
-                // reporting rule applies: the freshly compiled unique
-                // count keeps the outcome a pure function of the
-                // decision vector.
-                lock_ignore_poison(&self.caches.exe).insert(h, (pass, unique));
-                lock_ignore_poison(&self.caches.dec).insert(digest, (pass, unique));
-                self.store_dec(digest, pass, unique);
-                self.server_put_dec(digest, pass, unique);
-                self.trace_event(
-                    digest,
-                    ProbeKind::ExeCacheHit,
-                    pass,
-                    unique,
-                    speculative,
-                    started,
-                );
-                return Ok(Some(ProbeOutcome { pass, unique }));
-            }
-        }
-        if let Some(store) = &self.store {
-            // Persistent executable-hash tier: a previous process ran
-            // this exact executable — reuse its verdict, skip the run.
-            let found = {
-                let _s = self.span("store", probe_span);
-                store.exe_verdict(h)
-            };
-            if let Some((pass, stored_unique)) = found {
-                if fx.store_read_corrupt {
-                    // Same injected rot as the decisions tier above.
-                    self.note_failure(&ProbeFailure::StoreCorrupt);
-                } else {
-                    self.effort().tests_cached += 1;
-                    dmetrics().funnel_store_exe_hits.inc();
-                    lock_ignore_poison(&self.caches.exe).insert(h, (pass, stored_unique));
-                    // Same reporting rule as the in-memory hit above:
-                    // the stored unique count *is* the first inserter's
-                    // count.
-                    let unique = if self.use_dec_cache {
-                        unique
-                    } else {
-                        stored_unique
-                    };
-                    if self.use_dec_cache {
-                        lock_ignore_poison(&self.caches.dec).insert(digest, (pass, unique));
-                    }
-                    self.store_dec(digest, pass, unique);
-                    // Propagate the locally stored verdict to the
-                    // shared server under both keys: local corpora
-                    // seed the farm, not just the other way around.
-                    self.server_put_exe(h, pass, stored_unique);
-                    self.server_put_dec(digest, pass, unique);
-                    self.trace_event(
-                        digest,
-                        ProbeKind::StoreHit,
-                        pass,
-                        unique,
-                        speculative,
-                        started,
-                    );
-                    return Ok(Some(ProbeOutcome { pass, unique }));
+        let h = module_text_hash(self.salt, &oraql_ir::printer::module_str(&compiled.module));
+        let (kind, outcome) = match self.lookup(KeySpace::Exe, h, &fx, probe_span) {
+            // Without a pool the hit reports the unique count stored
+            // with the verdict (the seed driver's quirk); with one, the
+            // fresh count keeps every outcome a pure function of the
+            // decision vector, whatever order the cache was filled in.
+            Some((kind, hit)) => (
+                kind,
+                ProbeOutcome {
+                    pass: hit.pass,
+                    unique: if self.sequential { hit.unique } else { unique },
+                },
+            ),
+            None => {
+                if cancel.is_some_and(|t| t.is_cancelled()) {
+                    // The compile is already spent: record the waste
+                    // before abandoning the probe, so it shows in the
+                    // trace and the effort counters.
+                    self.note_wasted(digest, false, unique, started);
+                    return Ok(None);
                 }
+                let o = ProbeOutcome {
+                    pass: self.run_and_verify(&compiled.module, fx, probe_span)?,
+                    unique,
+                };
+                for t in &self.tiers {
+                    t.put(KeySpace::Exe, h, o);
+                }
+                (ProbeKind::Executed, o)
             }
-        }
-        let server_exe = {
-            let _s = self
-                .server
-                .is_some()
-                .then(|| self.span("server", probe_span));
-            self.server_get(h, true)
         };
-        if let Some((pass, stored_unique)) = server_exe {
-            // Server executable-hash tier: some tenant ran this exact
-            // executable. Reuse its verdict, skip the run, and write it
-            // back through every local tier; the decisions-digest key
-            // is pushed to the server too, so the *next* tenant skips
-            // even the compile.
-            self.effort().tests_server += 1;
-            dmetrics().funnel_server_exe_hits.inc();
-            lock_ignore_poison(&self.caches.exe).insert(h, (pass, stored_unique));
-            if let Some(store) = &self.store {
-                let _ = store.record_exe(h, pass, stored_unique);
-            }
-            // Same unique-count reporting rule as the local exe tiers.
-            let unique = if self.use_dec_cache {
-                unique
-            } else {
-                stored_unique
-            };
-            if self.use_dec_cache {
-                lock_ignore_poison(&self.caches.dec).insert(digest, (pass, unique));
-            }
-            self.store_dec(digest, pass, unique);
-            self.server_put_dec(digest, pass, unique);
-            self.trace_event(
-                digest,
-                ProbeKind::ServerHit,
-                pass,
-                unique,
-                speculative,
-                started,
-            );
-            return Ok(Some(ProbeOutcome { pass, unique }));
+        for t in &self.tiers {
+            t.put(KeySpace::Dec, digest, outcome);
         }
-        if cancel.is_some_and(|t| t.is_cancelled()) {
-            // The compile above is already spent: record the waste
-            // before abandoning the probe, so cancelled-but-executed
-            // work is visible in the trace and the effort counters.
-            self.note_wasted(digest, false, unique, started);
-            return Ok(None);
-        }
+        self.trace_event(
+            digest,
+            kind,
+            outcome.pass,
+            outcome.unique,
+            speculative,
+            started,
+        );
+        Ok(Some(outcome))
+    }
+
+    /// Runs a compiled probe on the VM and verifies its output, with
+    /// `fx`'s delay, VM and garbling faults injected. A genuine trap is
+    /// a failing verdict; an injected one is a probe failure.
+    fn run_and_verify(
+        &self,
+        m: &Module,
+        fx: AttemptFaults,
+        probe_span: u64,
+    ) -> Result<bool, ProbeFailure> {
         if fx.delay || fx.hang {
             // `probe-delay` stays well under any reasonable deadline;
             // `probe-hang` overshoots the configured deadline so only
@@ -1370,122 +1149,37 @@ impl ProbeEngine {
         let vm_started = Instant::now();
         let run = {
             let _s = self.span("vm", probe_span);
-            run_module_with(&compiled.module, self.fuel, self.interp, fx.vm_fault)
+            run_module(m, self.fuel, fx.vm_fault)
         };
         dmetrics()
             .vm_run_micros
             .observe(vm_started.elapsed().as_micros() as u64);
-        if fx.vm_fault.is_some() {
-            if let Err(e) = &run {
-                // The injected trap / lying fuel budget killed the run:
-                // a transient probe failure, not a verdict. (A program
-                // that completes even under the lie produced genuine,
-                // trustworthy output and is judged normally below.)
-                return Err(ProbeFailure::VmError(e.clone()));
-            }
-        }
-        let pass = match run {
-            Ok(run) => {
-                let mut stdout = run.stdout;
-                if fx.garble {
-                    stdout.push_str("\u{7f}garbled probe output\n");
-                }
-                let verify_started = Instant::now();
-                let ok = {
-                    let _s = self.span("verify", probe_span);
-                    self.verifier.check(&stdout).is_ok()
-                };
-                dmetrics()
-                    .verify_micros
-                    .observe(verify_started.elapsed().as_micros() as u64);
-                if fx.garble && !ok {
-                    // We know the mismatch is our own corruption: a
-                    // transient I/O failure, not a verdict. Nothing is
-                    // cached.
-                    return Err(ProbeFailure::OutputMismatch);
-                }
-                ok
-            }
-            Err(_) => false, // genuine traps count as verification failures
+        let mut stdout = match run {
+            Ok(run) => run.stdout,
+            // The injected trap / lying fuel budget killed the run: a
+            // transient probe failure, not a verdict. (A program that
+            // completes even under the lie produced genuine, trustworthy
+            // output and is judged normally below.)
+            Err(e) if fx.vm_fault.is_some() => return Err(ProbeFailure::VmError(e)),
+            Err(_) => return Ok(false),
         };
-        lock_ignore_poison(&self.caches.exe).insert(h, (pass, unique));
-        if self.dedupe {
-            lock_ignore_poison(&self.caches.exe_content).insert(content_key, (pass, unique));
+        if fx.garble {
+            stdout.push_str("\u{7f}garbled probe output\n");
         }
-        if self.use_dec_cache {
-            lock_ignore_poison(&self.caches.dec).insert(digest, (pass, unique));
-        }
-        if let Some(store) = &self.store {
-            let _ = store.record_exe(h, pass, unique);
-        }
-        self.store_dec(digest, pass, unique);
-        // Write the freshly computed verdict through to the shared
-        // server under both key spaces: this is how one tenant's probe
-        // bill becomes every tenant's warm cache.
-        self.server_put_exe(h, pass, unique);
-        self.server_put_dec(digest, pass, unique);
-        self.trace_event(
-            digest,
-            ProbeKind::Executed,
-            pass,
-            unique,
-            speculative,
-            started,
-        );
-        Ok(Some(ProbeOutcome { pass, unique }))
-    }
-
-    /// Write-through of the probe's *answered outcome* under its
-    /// decisions digest, so a warm run replays the exact (pass, unique)
-    /// pair this run reported — including the sequential exe-cache
-    /// quirk. Store I/O errors are deliberately swallowed: a read-only
-    /// or full disk degrades the store to a read tier, it never fails a
-    /// probe.
-    fn store_dec(&self, digest: u64, pass: bool, unique: u64) {
-        if let Some(store) = &self.store {
-            let _ = store.record_dec(digest, pass, unique);
-        }
-    }
-
-    /// Remote lookup in the requested key space. A failed call counts
-    /// one [`ProbeFailure::ServerDown`] and reads as a miss — the
-    /// attempt falls back to the local tiers, and the client's circuit
-    /// breaker makes every call during the cooldown window free.
-    fn server_get(&self, key: u64, exe: bool) -> Option<(bool, u64)> {
-        let client = self.server.as_ref()?;
-        let res = if exe {
-            client.get_exe(key)
-        } else {
-            client.get_dec(key)
+        let verify_started = Instant::now();
+        let ok = {
+            let _s = self.span("verify", probe_span);
+            self.verifier.check(&stdout).is_ok()
         };
-        match res {
-            Ok(found) => found,
-            Err(oraql_served::ClientError::Busy) => {
-                self.note_failure(&ProbeFailure::ServerBusy);
-                None
-            }
-            Err(_) => {
-                self.note_failure(&ProbeFailure::ServerDown);
-                None
-            }
+        dmetrics()
+            .verify_micros
+            .observe(verify_started.elapsed().as_micros() as u64);
+        if fx.garble && !ok {
+            // We know the mismatch is our own corruption: a transient
+            // I/O failure, not a verdict. Nothing is cached.
+            return Err(ProbeFailure::OutputMismatch);
         }
-    }
-
-    /// Remote write-through of a decisions-digest verdict. Errors are
-    /// swallowed (the server is an accelerator, never a dependency);
-    /// the client's own counters record them.
-    fn server_put_dec(&self, digest: u64, pass: bool, unique: u64) {
-        if let Some(client) = &self.server {
-            let _ = client.put_dec(digest, pass, unique);
-        }
-    }
-
-    /// Remote write-through of an executable-hash verdict (same error
-    /// policy as [`ProbeEngine::server_put_dec`]).
-    fn server_put_exe(&self, h: u64, pass: bool, unique: u64) {
-        if let Some(client) = &self.server {
-            let _ = client.put_exe(h, pass, unique);
-        }
+        Ok(ok)
     }
 }
 
@@ -1496,31 +1190,75 @@ struct PendingProbe {
 }
 
 /// The probing driver.
-pub struct Driver<'c> {
-    case: &'c TestCase,
+pub struct Driver {
     opts: DriverOptions,
     engine: Arc<ProbeEngine>,
     pool: Option<Arc<WorkerPool>>,
     pending: HashMap<u64, PendingProbe>,
-    /// Cancel tokens of live fire-and-forget hints, keyed by ticket.
-    /// Uncancelled hints simply finish and warm the caches; their
-    /// entries are dropped with the driver.
-    hints: HashMap<u64, CancelToken>,
     next_ticket: u64,
 }
 
-impl<'c> Driver<'c> {
+impl Driver {
     /// Runs the full workflow on one case with private caches; a
     /// private worker pool is created when `opts.jobs > 1`.
-    pub fn run(case: &'c TestCase, opts: DriverOptions) -> Result<DriverResult, DriverError> {
+    pub fn run(case: &TestCase, opts: DriverOptions) -> Result<DriverResult, DriverError> {
         let pool = (opts.jobs > 1).then(|| Arc::new(WorkerPool::new(opts.jobs)));
         Self::run_shared(case, opts, Arc::new(VerdictCaches::default()), pool)
+    }
+
+    /// A ready-to-probe driver whose probes are verified against
+    /// `references`. The tier list is memory, then the options' store
+    /// and server; `pool` decides whether probes speculate.
+    fn new(
+        case: &TestCase,
+        opts: DriverOptions,
+        caches: Arc<VerdictCaches>,
+        pool: Option<Arc<WorkerPool>>,
+        references: Vec<String>,
+        case_span: u64,
+    ) -> Self {
+        let mut tiers: Vec<Arc<dyn VerdictTier>> = vec![caches];
+        if let Some(store) = &opts.store {
+            tiers.push(Arc::clone(store) as Arc<dyn VerdictTier>);
+        }
+        if let Some(server) = &opts.server {
+            tiers.push(Arc::clone(server) as Arc<dyn VerdictTier>);
+        }
+        let engine = Arc::new(ProbeEngine {
+            case_name: case.name.clone(),
+            salt: case_salt(case, &references),
+            build: Arc::clone(&case.build),
+            scope: case.scope.clone(),
+            use_cfl: case.use_cfl,
+            optimism: case.optimism,
+            fuel: case.fuel,
+            verifier: Verifier::new(references, &case.ignore_patterns),
+            tiers,
+            sequential: pool.is_none(),
+            effort: Mutex::new(ProbeEffort::default()),
+            trace: opts.trace.clone(),
+            trace_seq: AtomicU64::new(0),
+            spans: opts.spans.clone(),
+            case_span,
+            faults: opts.faults.clone(),
+            deadline: opts.probe_deadline,
+            retries: opts.probe_retries,
+            failures: Mutex::new(FailureStats::default()),
+            quarantine: Mutex::new(HashSet::new()),
+        });
+        Driver {
+            opts,
+            engine,
+            pool,
+            pending: HashMap::new(),
+            next_ticket: 0,
+        }
     }
 
     /// [`Driver::run`] against caller-provided caches and worker pool,
     /// so a suite run shares both across benchmarks.
     pub fn run_shared(
-        case: &'c TestCase,
+        case: &TestCase,
         opts: DriverOptions,
         caches: Arc<VerdictCaches>,
         pool: Option<Arc<WorkerPool>>,
@@ -1539,12 +1277,11 @@ impl<'c> Driver<'c> {
             compile(&*case.build, &CompileOptions::baseline())
         }))
         .map_err(|p| DriverError::CasePanicked(panic_message(&*p)))?;
-        let baseline_run = run_module(&baseline.module, case.fuel, opts.interp)
+        let baseline_run = run_module(&baseline.module, case.fuel, None)
             .map_err(|e| DriverError::BaselineBroken(Mismatch::ExecutionFailed(e)))?;
         let mut references = vec![baseline_run.stdout.clone()];
         references.extend(case.extra_references.iter().cloned());
         let salt = case_salt(case, &references);
-        let csalt = content_salt(case, &references);
         if let Some(store) = &opts.store {
             // Record the accepted references under the case salt: a
             // warm reader can tell *what* a salt's verdicts were
@@ -1557,48 +1294,13 @@ impl<'c> Driver<'c> {
             // an unreachable server degrades to the local store.
             let _ = server.put_refs(salt, &references);
         }
-        let verifier = Verifier::new(references, &case.ignore_patterns);
-        verifier
+        let mut driver = Driver::new(case, opts, caches, pool, references, case_id);
+        driver
+            .engine
+            .verifier
             .check(&baseline_run.stdout)
             .map_err(DriverError::BaselineBroken)?;
         drop(baseline_span);
-
-        let engine = Arc::new(ProbeEngine {
-            case_name: case.name.clone(),
-            salt,
-            build: Arc::clone(&case.build),
-            scope: case.scope.clone(),
-            use_cfl: case.use_cfl,
-            optimism: case.optimism,
-            fuel: case.fuel,
-            interp: opts.interp,
-            verifier,
-            use_dec_cache: opts.jobs > 1,
-            dedupe: opts.jobs > 1 && opts.cross_case_dedup,
-            content_salt: csalt,
-            caches,
-            store: opts.store.clone(),
-            server: opts.server.clone(),
-            effort: Mutex::new(ProbeEffort::default()),
-            trace: opts.trace.clone(),
-            trace_seq: AtomicU64::new(0),
-            spans: spans.clone(),
-            case_span: case_id,
-            faults: opts.faults.clone(),
-            deadline: opts.probe_deadline,
-            retries: opts.probe_retries,
-            failures: Mutex::new(FailureStats::default()),
-            quarantine: Mutex::new(HashSet::new()),
-        });
-        let mut driver = Driver {
-            case,
-            opts,
-            engine,
-            pool,
-            pending: HashMap::new(),
-            hints: HashMap::new(),
-            next_ticket: 0,
-        };
 
         // Step 2: the empty sequence — everything optimistic.
         let all_opt = Decisions::all_optimistic();
@@ -1622,7 +1324,7 @@ impl<'c> Driver<'c> {
         };
         let finalc = catch_unwind(AssertUnwindSafe(|| compile(&*case.build, &final_opts)))
             .map_err(|p| DriverError::CasePanicked(panic_message(&*p)))?;
-        let final_run = run_module(&finalc.module, case.fuel, driver.opts.interp)
+        let final_run = run_module(&finalc.module, case.fuel, None)
             .map_err(|e| DriverError::FinalBroken(Mismatch::ExecutionFailed(e)))?;
         driver
             .engine
@@ -1686,38 +1388,11 @@ impl<'c> Driver<'c> {
             truth,
         })
     }
-
-    /// Compiles with a fixed decision source, bypassing probe caching
-    /// (used by tests and tooling that need the [`Compiled`] artifact).
-    pub fn compile_with(&mut self, d: &Decisions) -> Compiled {
-        self.engine.effort().compiles += 1;
-        compile(
-            &*self.case.build,
-            &CompileOptions {
-                oraql: Some((d.clone(), self.case.scope.clone())),
-                use_cfl: self.case.use_cfl,
-                optimism: self.case.optimism,
-                ..CompileOptions::default()
-            },
-        )
-    }
 }
 
-fn run_module(m: &Module, fuel: u64, mode: InterpMode) -> Result<RunOutcome, String> {
-    run_module_with(m, fuel, mode, None)
-}
-
-fn run_module_with(
-    m: &Module,
-    fuel: u64,
-    mode: InterpMode,
-    fault: Option<VmFault>,
-) -> Result<RunOutcome, String> {
+fn run_module(m: &Module, fuel: u64, fault: Option<VmFault>) -> Result<RunOutcome, String> {
     let main = m.find_func("main").ok_or("no main")?;
-    let mut interp = Interpreter::new(m)
-        .with_fuel(fuel)
-        .with_mode(mode)
-        .with_fault(fault);
+    let mut interp = Interpreter::new(m).with_fuel(fuel).with_fault(fault);
     match interp.run(main, vec![]) {
         Ok(_) => Ok(RunOutcome {
             stdout: interp.stdout().to_owned(),
@@ -1727,7 +1402,7 @@ fn run_module_with(
     }
 }
 
-impl Prober for Driver<'_> {
+impl Prober for Driver {
     fn probe(&mut self, d: &Decisions) -> ProbeOutcome {
         self.engine.execute(d, false)
     }
@@ -1751,28 +1426,16 @@ impl Prober for Driver<'_> {
             .trace_event(0, ProbeKind::Deduced, false, 0, false, Instant::now());
     }
 
-    fn speculate_depth(&self) -> u32 {
-        if self.pool.is_none() {
-            return 0; // sequential mode never speculates
-        }
-        self.opts.speculate_depth
-    }
-
     fn probe_speculative(&mut self, d: &Decisions) -> SpeculativeProbe {
         let deferred = SpeculativeProbe {
             decisions: d.clone(),
             ticket: None,
         };
         let Some(pool) = &self.pool else {
-            // Sequential mode: defer — the probe runs inline at the
-            // wait site, preserving the seed driver's probe order.
+            // No pool: defer — the probe runs inline at the wait site,
+            // in the strategy's sequential order.
             return deferred;
         };
-        if self.opts.speculate_depth == 0 {
-            // Speculation disabled: the same deferred-inline flow as
-            // sequential mode, just against the shared caches.
-            return deferred;
-        }
         let ticket = self.next_ticket;
         self.next_ticket += 1;
         let (tx, rx) = channel();
@@ -1787,7 +1450,7 @@ impl Prober for Driver<'_> {
             .faults
             .as_ref()
             .is_some_and(|inj| inj.fire(FaultSite::WorkerPoison));
-        let submitted = pool.submit_with_priority(SIBLING_PRIORITY, move || {
+        let submitted = pool.submit(move || {
             if poison {
                 // The worker dies before touching the probe; the pool
                 // respawns a replacement, and the waiter observes the
@@ -1846,157 +1509,41 @@ impl Prober for Driver<'_> {
             dmetrics().spec_cancelled.inc();
         }
     }
-
-    fn hint_probe(&mut self, d: &Decisions, start: u64) -> Option<HintHandle> {
-        let pool = self.pool.as_ref()?;
-        if self.opts.speculate_depth < 2 {
-            return None;
-        }
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        let token = CancelToken::default();
-        let engine = Arc::clone(&self.engine);
-        let decisions = d.clone();
-        let job_token = token.clone();
-        // Pre-sampled on the submitting thread, like sibling probes.
-        let poison = self
-            .opts
-            .faults
-            .as_ref()
-            .is_some_and(|inj| inj.fire(FaultSite::WorkerPoison));
-        // Likely-clean subtrees speculate first: a passing grandchild
-        // verdict is the one the Fig. 2 deduction multiplies. Sibling
-        // probes (`SIBLING_PRIORITY`) always outrank hints, so hints
-        // only fill otherwise-idle workers.
-        let priority = self.engine.caches.clean_fraction_permille(start);
-        let submitted = pool.submit_with_priority(priority, move || {
-            if poison {
-                std::panic::panic_any(InjectedPanic("poisoned pool worker"));
-            }
-            if job_token.is_cancelled() {
-                return;
-            }
-            // Fire-and-forget: the verdict is only wanted in the caches,
-            // where a later blocking probe (here or in another case)
-            // picks it up as a decision-cache hit or in-flight join.
-            let _ = engine.execute_sandboxed(&decisions, true, Some(&job_token));
-        });
-        if submitted.is_err() {
-            return None;
-        }
-        self.engine.effort().spec_hints += 1;
-        dmetrics().spec_hints.inc();
-        self.hints.insert(ticket, token);
-        Some(HintHandle(ticket))
-    }
-
-    fn cancel_hint(&mut self, h: HintHandle) {
-        if let Some(token) = self.hints.remove(&h.0) {
-            token.cancel();
-            self.engine.effort().spec_cancelled += 1;
-            dmetrics().spec_cancelled.inc();
-        }
-    }
-
-    fn note_range_outcome(&mut self, start: u64, dangerous: bool) {
-        self.engine.caches.note_outcome(start, dangerous);
-    }
-}
-
-/// Runs several cases concurrently (one driver thread per case, all at
-/// once) and returns results in input order. This is the driver-level
-/// parallelism used by the Fig. 4 harness across the sixteen
-/// configurations. With `opts.jobs > 1` all drivers share one verdict
-/// cache and one speculative-probe pool; with `jobs = 1` each driver is
-/// fully independent, matching the seed behaviour.
-pub fn run_many(
-    cases: &[TestCase],
-    opts: &DriverOptions,
-) -> Vec<Result<DriverResult, DriverError>> {
-    let shared = (opts.jobs > 1).then(|| {
-        (
-            Arc::new(VerdictCaches::default()),
-            Arc::new(WorkerPool::new(opts.jobs)),
-        )
-    });
-    let mut results: Vec<Option<Result<DriverResult, DriverError>>> =
-        (0..cases.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (i, case) in cases.iter().enumerate() {
-            let opts = opts.clone();
-            let shared = shared.clone();
-            handles.push((
-                i,
-                // The catch_unwind keeps a panicking driver thread from
-                // propagating through scope() and aborting its siblings:
-                // one broken case yields one Err, the rest still run.
-                s.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| match shared {
-                        Some((caches, pool)) => Driver::run_shared(case, opts, caches, Some(pool)),
-                        None => Driver::run(case, opts),
-                    }))
-                    .unwrap_or_else(|p| Err(DriverError::CasePanicked(panic_message(&*p))))
-                }),
-            ));
-        }
-        for (i, h) in handles {
-            results[i] = Some(
-                h.join()
-                    .unwrap_or_else(|p| Err(DriverError::CasePanicked(panic_message(&*p)))),
-            );
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|| Err(DriverError::Internal("case result missing".into()))))
-        .collect()
 }
 
 /// Runs a suite under a global probe-concurrency budget: at most
 /// `opts.jobs` cases probe at any moment, all sharing one
-/// [`VerdictCaches`] and one [`WorkerPool`] for speculative siblings.
-/// With `jobs = 1` the cases run strictly sequentially, reproducing the
-/// seed CLI's `--all` behaviour exactly. Results are in input order.
+/// [`VerdictCaches`] and, when `jobs > 1`, one [`WorkerPool`] for
+/// speculative siblings. With `jobs = 1` the cases run strictly one
+/// after another in input order. Results are in input order.
 pub fn run_suite(
     cases: &[TestCase],
     opts: &DriverOptions,
 ) -> Vec<Result<DriverResult, DriverError>> {
-    if opts.jobs <= 1 {
-        return cases
-            .iter()
-            .map(|c| {
-                catch_unwind(AssertUnwindSafe(|| Driver::run(c, opts.clone())))
-                    .unwrap_or_else(|p| Err(DriverError::CasePanicked(panic_message(&*p))))
-            })
-            .collect();
-    }
     let caches = Arc::new(VerdictCaches::default());
-    let pool = Arc::new(WorkerPool::new(opts.jobs));
+    let pool = (opts.jobs > 1).then(|| Arc::new(WorkerPool::new(opts.jobs)));
     let next = AtomicUsize::new(0);
     let results: Vec<Mutex<Option<Result<DriverResult, DriverError>>>> =
         (0..cases.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..opts.jobs.min(cases.len()) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= cases.len() {
-                    break;
-                }
-                // One panicking case must not take its worker (and the
-                // cases it would have claimed next) with it.
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    Driver::run_shared(
-                        &cases[i],
-                        opts.clone(),
-                        Arc::clone(&caches),
-                        Some(Arc::clone(&pool)),
-                    )
-                }))
-                .unwrap_or_else(|p| Err(DriverError::CasePanicked(panic_message(&*p))));
-                *lock_ignore_poison(&results[i]) = Some(r);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::SeqCst);
+        if i >= cases.len() {
+            break;
         }
+        // One panicking case must not take its worker (and the cases it
+        // would have claimed next) with it.
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            Driver::run_shared(&cases[i], opts.clone(), Arc::clone(&caches), pool.clone())
+        }))
+        .unwrap_or_else(|p| Err(DriverError::CasePanicked(panic_message(&*p))));
+        *lock_ignore_poison(&results[i]) = Some(r);
+    };
+    // The calling thread is one of the case workers.
+    std::thread::scope(|s| {
+        for _ in 1..opts.jobs.min(cases.len()) {
+            s.spawn(work);
+        }
+        work();
     });
     results
         .into_iter()
@@ -2144,15 +1691,6 @@ mod tests {
     }
 
     #[test]
-    fn run_many_preserves_order() {
-        let cases = vec![mixed_case(2, 0, 0), mixed_case(3, 1, 0)];
-        let rs = run_many(&cases, &DriverOptions::default());
-        assert_eq!(rs.len(), 2);
-        assert!(rs[0].as_ref().unwrap().fully_optimistic);
-        assert!(!rs[1].as_ref().unwrap().fully_optimistic);
-    }
-
-    #[test]
     fn parallel_driver_matches_sequential_decisions() {
         for strategy in [Strategy::Chunked, Strategy::FrequencySpace] {
             let case = mixed_case(4, 2, 2);
@@ -2228,51 +1766,6 @@ mod tests {
             assert_eq!(a.decisions, b.decisions);
             assert_eq!(a.final_run.stdout, b.final_run.stdout);
         }
-    }
-
-    #[test]
-    fn warm_store_replays_sequential_run_without_compiles() {
-        let dir = std::env::temp_dir().join(format!("oraql_driver_store_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("verdicts.journal");
-
-        let case = mixed_case(4, 2, 2);
-        let store = Arc::new(Store::open(&path).unwrap());
-        let cold = Driver::run(
-            &case,
-            DriverOptions {
-                store: Some(Arc::clone(&store)),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(cold.effort.tests_run > 0);
-        assert!(store.stats().appends > 0, "{:?}", store.stats());
-        drop(store);
-
-        let store = Arc::new(Store::open(&path).unwrap());
-        assert!(store.stats().recovered > 0);
-        let warm = Driver::run(
-            &case,
-            DriverOptions {
-                store: Some(Arc::clone(&store)),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Every probe of the deterministic sequential run was answered
-        // from the persistent decisions-digest tier: no compiles, no
-        // tests, identical results.
-        assert_eq!(warm.effort.tests_run, 0, "{:?}", warm.effort);
-        assert_eq!(warm.effort.compiles, 0, "{:?}", warm.effort);
-        assert!(warm.effort.tests_dec_cached > 0);
-        assert_eq!(cold.decisions, warm.decisions);
-        assert_eq!(cold.fully_optimistic, warm.fully_optimistic);
-        assert_eq!(cold.final_run.stdout, warm.final_run.stdout);
-        assert_eq!(cold.oraql, warm.oraql);
-        assert!(store.stats().dec_hits > 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2392,39 +1885,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_store_hits_are_discarded_and_recomputed() {
-        let dir = std::env::temp_dir().join(format!("oraql_chaos_store_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("verdicts.journal");
-        let case = mixed_case(3, 1, 1);
-
-        let store = Arc::new(Store::open(&path).unwrap());
-        let cold = Driver::run(
-            &case,
-            DriverOptions {
-                store: Some(Arc::clone(&store)),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        drop(store);
-
-        // Warm run, but every store hit is reported corrupt: the driver
-        // must fall back to recomputing instead of trusting rotten data.
-        let store = Arc::new(Store::open(&path).unwrap());
-        let plan = FaultPlan::quiet(5).with_rate(FaultSite::StoreReadCorrupt, Rate::always());
-        let mut opts = chaos_opts(plan);
-        opts.store = Some(Arc::clone(&store));
-        let warm = Driver::run(&case, opts).unwrap();
-        assert!(warm.failures.store_corrupt > 0, "{:?}", warm.failures);
-        assert!(warm.effort.tests_run > 0, "{:?}", warm.effort);
-        assert_eq!(cold.decisions, warm.decisions);
-        assert_eq!(cold.final_run.stdout, warm.final_run.stdout);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn poisoned_workers_do_not_lose_verdicts() {
         let case = mixed_case(4, 2, 2);
         let seq = Driver::run(&case, DriverOptions::default()).unwrap();
@@ -2438,57 +1898,24 @@ mod tests {
         assert_eq!(seq.final_run.stdout, chaotic.final_run.stdout);
     }
 
-    // --- speculation DAG / cross-case dedup ---------------------------
+    // --- speculation and the verdict-tier loop ------------------------
 
     /// Builds a ready-to-probe driver without running the workflow, so
-    /// tests can exercise the [`Prober`] interface directly.
-    fn test_driver<'c>(
-        case: &'c TestCase,
+    /// tests can exercise the [`Prober`] interface and the tier loop
+    /// directly.
+    fn test_driver(
+        case: &TestCase,
         opts: DriverOptions,
         caches: Arc<VerdictCaches>,
         pool: Option<Arc<WorkerPool>>,
-    ) -> Driver<'c> {
+    ) -> Driver {
         let baseline = compile(&*case.build, &CompileOptions::baseline());
-        let baseline_run = run_module(&baseline.module, case.fuel, opts.interp).unwrap();
-        let references = vec![baseline_run.stdout];
-        let salt = case_salt(case, &references);
-        let csalt = content_salt(case, &references);
-        let engine = Arc::new(ProbeEngine {
-            case_name: case.name.clone(),
-            salt,
-            build: Arc::clone(&case.build),
-            scope: case.scope.clone(),
-            use_cfl: case.use_cfl,
-            optimism: case.optimism,
-            fuel: case.fuel,
-            interp: opts.interp,
-            verifier: Verifier::new(references, &case.ignore_patterns),
-            use_dec_cache: opts.jobs > 1,
-            dedupe: opts.jobs > 1 && opts.cross_case_dedup,
-            content_salt: csalt,
-            caches,
-            store: None,
-            server: None,
-            effort: Mutex::new(ProbeEffort::default()),
-            trace: opts.trace.clone(),
-            trace_seq: AtomicU64::new(0),
-            spans: None,
-            case_span: 0,
-            faults: opts.faults.clone(),
-            deadline: opts.probe_deadline,
-            retries: opts.probe_retries,
-            failures: Mutex::new(FailureStats::default()),
-            quarantine: Mutex::new(HashSet::new()),
-        });
-        Driver {
-            case,
-            opts,
-            engine,
-            pool,
-            pending: HashMap::new(),
-            hints: HashMap::new(),
-            next_ticket: 0,
-        }
+        let references = vec![
+            run_module(&baseline.module, case.fuel, None)
+                .unwrap()
+                .stdout,
+        ];
+        Driver::new(case, opts, caches, pool, references, 0)
     }
 
     #[test]
@@ -2537,110 +1964,180 @@ mod tests {
         );
     }
 
-    #[test]
-    fn content_tier_shares_verdicts_across_cases() {
-        // Two cases building identical modules under different names:
-        // the case-salted tiers cannot share, the content tier can.
-        // Depth 0 keeps both runs deterministic (no pool probes).
-        let a = TestCase::new("alpha", || build_mixed(3, 1, 1));
-        let b = TestCase::new("beta", || build_mixed(3, 1, 1));
-        let opts = DriverOptions {
-            jobs: 2,
-            speculate_depth: 0,
-            ..Default::default()
-        };
-        let caches = Arc::new(VerdictCaches::default());
-        let ra = Driver::run_shared(&a, opts.clone(), Arc::clone(&caches), None).unwrap();
-        let rb = Driver::run_shared(&b, opts.clone(), Arc::clone(&caches), None).unwrap();
-        assert!(ra.effort.tests_run > 0);
-        assert!(caches.content_entries() > 0);
-        // Every probe of case B rides on case A's verdicts: compiles
-        // still happen (the content key needs the module text), but no
-        // probe runs or verifies.
-        assert_eq!(rb.effort.tests_run, 0, "{:?}", rb.effort);
-        assert!(rb.effort.tests_cached > 0, "{:?}", rb.effort);
-        assert_eq!(ra.decisions, rb.decisions);
-
-        // With dedup off the second case pays its own probes.
-        let off = DriverOptions {
-            cross_case_dedup: false,
-            ..opts
-        };
-        let caches = Arc::new(VerdictCaches::default());
-        let _ = Driver::run_shared(&a, off.clone(), Arc::clone(&caches), None).unwrap();
-        let rb2 = Driver::run_shared(&b, off, Arc::clone(&caches), None).unwrap();
-        assert!(rb2.effort.tests_run > 0, "{:?}", rb2.effort);
-        assert_eq!(caches.content_entries(), 0);
+    /// A scripted verdict tier: serves what it holds (or fails every
+    /// lookup with `fail`) and records every write it receives.
+    struct FakeTier {
+        role: TierRole,
+        held: Mutex<HashMap<(KeySpace, u64), ProbeOutcome>>,
+        fail: Option<ProbeFailure>,
+        puts: Mutex<Vec<(KeySpace, u64, ProbeOutcome)>>,
     }
 
-    #[test]
-    fn speculation_priors_rank_clean_clusters() {
-        let c = VerdictCaches::default();
-        assert_eq!(c.clean_fraction_permille(0), 500); // unknown: neutral
-        c.note_outcome(0, false);
-        c.note_outcome(0, false);
-        c.note_outcome(0, true);
-        assert_eq!(c.clean_fraction_permille(0), 666);
-        c.note_outcome(40, true);
-        assert_eq!(c.clean_fraction_permille(40), 0);
-        assert_eq!(c.clean_fraction_permille(33), 0); // same 32-wide bucket
-                                                      // Everything past the last bucket pools in the final one.
-        c.note_outcome(10_000, false);
-        assert_eq!(
-            c.clean_fraction_permille(PRIOR_SPAN * PRIOR_BUCKETS as u64),
-            1000
+    impl FakeTier {
+        fn new(role: TierRole, fail: Option<ProbeFailure>) -> Arc<Self> {
+            Arc::new(FakeTier {
+                role,
+                held: Mutex::default(),
+                fail,
+                puts: Mutex::default(),
+            })
+        }
+
+        fn holding(self: Arc<Self>, space: KeySpace, key: u64, v: ProbeOutcome) -> Arc<Self> {
+            lock_ignore_poison(&self.held).insert((space, key), v);
+            self
+        }
+
+        fn puts(&self) -> Vec<(KeySpace, u64, ProbeOutcome)> {
+            lock_ignore_poison(&self.puts).clone()
+        }
+    }
+
+    impl VerdictTier for FakeTier {
+        fn role(&self) -> TierRole {
+            self.role
+        }
+
+        fn get(
+            &self,
+            space: KeySpace,
+            key: u64,
+            _: &AttemptFaults,
+        ) -> Result<Option<ProbeOutcome>, ProbeFailure> {
+            match &self.fail {
+                Some(f) => Err(f.clone()),
+                None => Ok(lock_ignore_poison(&self.held).get(&(space, key)).copied()),
+            }
+        }
+
+        fn put(&self, space: KeySpace, key: u64, v: ProbeOutcome) {
+            lock_ignore_poison(&self.puts).push((space, key, v));
+        }
+    }
+
+    /// A sequential test driver whose funnel is memory followed by
+    /// `slower`, plus the memory tier for inspection.
+    fn tiered_driver(
+        case: &TestCase,
+        opts: DriverOptions,
+        slower: Vec<Arc<dyn VerdictTier>>,
+    ) -> (Driver, Arc<VerdictCaches>) {
+        let memory = Arc::new(VerdictCaches::default());
+        let mut d = test_driver(case, opts, Arc::clone(&memory), None);
+        let engine = Arc::get_mut(&mut d.engine).expect("fresh engine is unshared");
+        engine.tiers.extend(slower);
+        (d, memory)
+    }
+
+    /// The (executable hash, decisions digest) keys `d` files `case`'s
+    /// probe of `decisions` under.
+    fn probe_keys(d: &Driver, case: &TestCase, decisions: &Decisions) -> (u64, u64) {
+        let c = compile(
+            &*case.build,
+            &CompileOptions::with_oraql(decisions.clone(), case.scope.clone()),
         );
-    }
-
-    #[test]
-    fn depth_zero_disables_speculation_entirely() {
-        let case = mixed_case(4, 2, 2);
-        let seq = Driver::run(&case, DriverOptions::default()).unwrap();
-        let par = Driver::run(
-            &case,
-            DriverOptions {
-                jobs: 4,
-                speculate_depth: 0,
-                ..Default::default()
-            },
+        let text = oraql_ir::printer::module_str(&c.module);
+        let salt = d.engine.salt;
+        (
+            module_text_hash(salt, &text),
+            decisions_digest(salt, decisions),
         )
-        .unwrap();
-        assert_eq!(par.effort.spec_launched, 0, "{:?}", par.effort);
-        assert_eq!(par.effort.spec_hints, 0);
-        assert_eq!(par.effort.spec_wasted, 0);
-        assert_eq!(seq.decisions, par.decisions);
-        assert_eq!(seq.final_run.stdout, par.final_run.stdout);
+    }
+
+    const HIT: ProbeOutcome = ProbeOutcome {
+        pass: true,
+        unique: 7,
+    };
+
+    #[test]
+    fn slow_tier_hits_are_written_back_to_every_faster_tier() {
+        let (case, fx) = (mixed_case(2, 1, 0), AttemptFaults::default());
+        for space in [KeySpace::Dec, KeySpace::Exe] {
+            let store = FakeTier::new(TierRole::Store, None);
+            let server = FakeTier::new(TierRole::Server, None).holding(space, 42, HIT);
+            let (d, memory) = tiered_driver(
+                &case,
+                DriverOptions::default(),
+                vec![store.clone(), server.clone()],
+            );
+            let found = d.engine.lookup(space, 42, &fx, 0);
+            assert_eq!(found, Some((ProbeKind::ServerHit, HIT)), "{space:?}");
+            assert_eq!(store.puts(), vec![(space, 42, HIT)], "{space:?}");
+            assert_eq!(memory.get(space, 42, &fx), Ok(Some(HIT)), "{space:?}");
+            assert!(server.puts().is_empty(), "{space:?}: the hit tier itself");
+            assert_eq!(d.engine.effort().tests_server, 1);
+        }
     }
 
     #[test]
-    fn deep_speculation_matches_sequential_decisions() {
-        for strategy in [Strategy::Chunked, Strategy::FrequencySpace] {
-            let case = mixed_case(4, 2, 2);
-            let seq = Driver::run(
-                &case,
-                DriverOptions {
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let par = Driver::run(
-                &case,
-                DriverOptions {
-                    strategy,
-                    jobs: 4,
-                    speculate_depth: 3,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(seq.decisions, par.decisions, "{strategy:?}");
-            assert_eq!(seq.final_run.stdout, par.final_run.stdout);
-            assert!(
-                par.effort.spec_hints > 0,
-                "{strategy:?}: grandchild hints should engage: {:?}",
-                par.effort
-            );
+    fn store_exe_hit_is_pushed_to_the_server_under_both_keys() {
+        let case = mixed_case(2, 1, 0);
+        let probe = Decisions::all_optimistic();
+        let (d, _) = tiered_driver(&case, DriverOptions::default(), vec![]);
+        let (h, digest) = probe_keys(&d, &case, &probe);
+        let store = FakeTier::new(TierRole::Store, None).holding(KeySpace::Exe, h, HIT);
+        let server = FakeTier::new(TierRole::Server, None);
+        let (d, memory) = tiered_driver(
+            &case,
+            DriverOptions::default(),
+            vec![store.clone(), server.clone()],
+        );
+        // Sequential: the answer carries the stored unique count.
+        assert_eq!(d.engine.execute(&probe, false), HIT);
+        let e = *d.engine.effort();
+        assert_eq!((e.compiles, e.tests_run, e.tests_cached), (1, 0, 1));
+        assert_eq!(
+            server.puts(),
+            vec![(KeySpace::Exe, h, HIT), (KeySpace::Dec, digest, HIT)]
+        );
+        assert_eq!(store.puts(), vec![(KeySpace::Dec, digest, HIT)]);
+        assert_eq!((memory.exe_entries(), memory.dec_entries()), (1, 1));
+    }
+
+    #[test]
+    fn corrupt_store_hit_falls_through_to_a_compile_and_is_never_written_back() {
+        let dir = std::env::temp_dir().join(format!("oraql_tier_corrupt_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = Arc::new(Store::open(dir.join("verdicts.journal")).unwrap());
+        let case = mixed_case(2, 1, 0);
+        let probe = Decisions::all_optimistic();
+        let plan = FaultPlan::quiet(5).with_rate(FaultSite::StoreReadCorrupt, Rate::always());
+        let mut opts = chaos_opts(plan);
+        opts.store = Some(Arc::clone(&store));
+        let memory = Arc::new(VerdictCaches::default());
+        let d = test_driver(&case, opts, Arc::clone(&memory), None);
+        // Plant a rotten verdict (a pass the probe would never earn).
+        let digest = decisions_digest(d.engine.salt, &probe);
+        store.record_dec(digest, true, 999).unwrap();
+        let o = d.engine.execute(&probe, false);
+        assert!(!o.pass, "the rotten pass must not be answered");
+        let (e, f) = (*d.engine.effort(), *d.engine.failures());
+        assert_eq!((e.compiles, e.tests_run), (1, 1), "{e:?}");
+        assert_eq!((f.store_corrupt, f.retries), (1, 0), "{f:?}");
+        let fx = AttemptFaults::default();
+        assert_eq!(memory.get(KeySpace::Dec, digest, &fx), Ok(Some(o)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn server_failures_read_as_misses_without_a_retry() {
+        let case = mixed_case(2, 1, 0);
+        let probe = Decisions::all_optimistic();
+        for (failure, down, busy) in [
+            (ProbeFailure::ServerDown, 2, 0),
+            (ProbeFailure::ServerBusy, 0, 2),
+        ] {
+            let server = FakeTier::new(TierRole::Server, Some(failure));
+            let (d, _) = tiered_driver(&case, DriverOptions::default(), vec![server.clone()]);
+            assert!(!d.engine.execute(&probe, false).pass);
+            let (e, f) = (*d.engine.effort(), *d.engine.failures());
+            assert_eq!((e.compiles, e.tests_run), (1, 1), "{e:?}");
+            // One failed lookup per key space, then the computed
+            // verdict is still written through.
+            let counts = (f.server_down, f.server_busy, f.retries, f.quarantined);
+            assert_eq!(counts, (down, busy, 0, 0), "{f:?}");
+            assert_eq!(server.puts().len(), 2);
         }
     }
 }

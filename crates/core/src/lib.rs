@@ -16,11 +16,11 @@
 //!   targets (§IV-E).
 //! * [`driver::Driver`] — the probing driver (§IV-B): baseline compile,
 //!   full-optimism fast path, recursive bisection with the *chunked*
-//!   and *frequency-space* strategies ([`strategy`]), shared verdict
-//!   caches (executable hash + decisions digest) and the Fig. 2
-//!   deduction rule. Probes run speculatively on a bounded worker
-//!   pool ([`pool`]) when `jobs > 1`; `jobs = 1` reproduces the
-//!   sequential driver byte-for-byte.
+//!   and *frequency-space* strategies ([`strategy`]), one verdict-tier
+//!   loop (memory, store, server; each keyed by decisions digest and
+//!   executable hash) and the Fig. 2 deduction rule. With `jobs > 1`
+//!   one speculative sibling per blocking probe runs on a bounded
+//!   worker pool ([`pool`]); `jobs = 1` probes inline.
 //! * [`trace`] — probe-trace observability: a JSONL event stream
 //!   recording how every probe was answered (executed / cached /
 //!   store / deduced), consumed by [`report`] summaries.
@@ -28,7 +28,7 @@
 //!   verdict store: an append-only, checksummed, content-addressed
 //!   journal that makes warm re-runs answer probes without compiling.
 //!   Attached via [`DriverOptions`]'s `store` field (`--store` in the
-//!   CLI) as a write-through tier behind [`driver::VerdictCaches`].
+//!   CLI) as the second verdict tier, behind [`driver::VerdictCaches`].
 //! * [`served`] (the `oraql-served` crate) — the shared verdict
 //!   *server*: a daemon owning sharded journals, answering lookups from
 //!   an in-memory index and batching appends with group fsync, so many
@@ -70,8 +70,8 @@ pub use oraql_store as store;
 
 pub use compile::{compile, CompileOptions, Compiled, Scope};
 pub use driver::{
-    run_many, run_suite, Driver, DriverError, DriverOptions, DriverResult, FailureStats,
-    ProbeFailure, TestCase, VerdictCaches,
+    run_suite, Driver, DriverError, DriverOptions, DriverResult, FailureStats, ProbeFailure,
+    TestCase, VerdictCaches,
 };
 pub use oraql_faults::{FaultInjector, FaultPlan, FaultSite, InjectedPanic};
 pub use oraql_store::{StatsSnapshot, Store, StoreError, StoreStats};

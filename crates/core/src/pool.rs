@@ -1,14 +1,12 @@
 //! Bounded worker pool for parallel probing (std-only concurrency).
 //!
 //! The probing driver (paper §IV-B) spends almost all of its time in
-//! compile-and-run probe cycles that are independent of each other:
-//! sibling probes inside one bisection step, speculative grandchildren
-//! of the bisection DAG, and probes of different
-//! [`crate::driver::TestCase`]s in a suite. [`WorkerPool`] is the shared
-//! execution substrate for all of them — a fixed set of `std::thread`
-//! workers draining a single priority queue, so a `--jobs N` budget
-//! bounds the total probe concurrency of a whole suite run no matter
-//! how many drivers feed it.
+//! compile-and-run probe cycles. The speculative sibling probes of every
+//! bisection step, across all [`crate::driver::TestCase`]s of a suite,
+//! run on one [`WorkerPool`]: a fixed set of `std::thread` workers
+//! draining a single FIFO queue, so a `--jobs N` budget bounds the total
+//! probe concurrency of a whole suite run no matter how many drivers
+//! feed it.
 //!
 //! # Concurrency contract
 //!
@@ -16,12 +14,10 @@
 //!   other pool jobs (probe jobs never do — each one is a self-contained
 //!   compile + execute + verify cycle), otherwise the bounded pool can
 //!   deadlock.
-//! * The queue is a priority queue: higher [`WorkerPool::submit_with_priority`]
-//!   values dequeue first, ties dequeue in submission order. Any idle
-//!   worker steals the best queued job regardless of which driver
-//!   submitted it. [`WorkerPool::submit`] enqueues at priority 0.
-//!   Completion order is unspecified; consumers synchronize through the
-//!   channel they pass into their job (see `Driver::probe_speculative`).
+//! * Jobs dequeue in submission order; any idle worker takes the oldest
+//!   queued job regardless of which driver submitted it. Completion
+//!   order is unspecified; consumers synchronize through the channel
+//!   they pass into their job (see `Driver::probe_speculative`).
 //! * [`CancelToken`] is advisory: a job observes it *before* starting
 //!   expensive work. A job already past that check runs to completion;
 //!   cancellation then merely means nobody consumes its result (the
@@ -43,7 +39,7 @@
 //!   stranded — `Drop` drains those and decrements the queue-depth
 //!   gauge per job, so the gauge always returns to its pre-pool level.
 
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::sync::{
     atomic::{AtomicBool, AtomicU64, Ordering},
     Arc, Condvar, Mutex, MutexGuard, OnceLock,
@@ -110,43 +106,10 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// A queued job plus its dequeue key: priority descending, then
-/// submission sequence ascending (FIFO among equals).
-struct PrioJob {
-    priority: i64,
-    seq: u64,
-    job: Job,
-}
-
-impl PartialEq for PrioJob {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
-    }
-}
-
-impl Eq for PrioJob {}
-
-impl PartialOrd for PrioJob {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PrioJob {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap pops the maximum: higher priority wins, and for
-        // equal priorities the *lower* sequence number must compare
-        // greater so submission order is preserved.
-        self.priority
-            .cmp(&other.priority)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// The job queue proper. `closed` flips once, under the same mutex, so
 /// workers can distinguish "empty for now" from "empty forever".
 struct Queue {
-    heap: BinaryHeap<PrioJob>,
+    jobs: VecDeque<Job>,
     closed: bool,
 }
 
@@ -160,11 +123,10 @@ struct Shared {
     panics: AtomicU64,
     respawns: AtomicU64,
     next_id: AtomicU64,
-    next_seq: AtomicU64,
     shutdown: AtomicBool,
 }
 
-/// A fixed-size pool of worker threads draining one priority queue.
+/// A fixed-size pool of worker threads draining one FIFO queue.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     width: usize,
@@ -226,7 +188,7 @@ impl WorkerPool {
         let jobs = jobs.max(1);
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
-                heap: BinaryHeap::new(),
+                jobs: VecDeque::new(),
                 closed: false,
             }),
             available: Condvar::new(),
@@ -234,7 +196,6 @@ impl WorkerPool {
             panics: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
-            next_seq: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
         for _ in 0..jobs {
@@ -263,21 +224,10 @@ impl WorkerPool {
         self.shared.respawns.load(Ordering::Relaxed)
     }
 
-    /// Enqueues a job at priority 0. Returns [`SubmitError`] — without
-    /// queueing anything or disturbing the queue-depth gauge — if the
-    /// pool was already closed.
+    /// Enqueues a job. Returns [`SubmitError`] — without queueing
+    /// anything or disturbing the queue-depth gauge — if the pool was
+    /// already closed.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
-        self.submit_with_priority(0, job)
-    }
-
-    /// Enqueues a job; higher `priority` values are dequeued first,
-    /// ties in submission order. Same error contract as
-    /// [`WorkerPool::submit`].
-    pub fn submit_with_priority(
-        &self,
-        priority: i64,
-        job: impl FnOnce() + Send + 'static,
-    ) -> Result<(), SubmitError> {
         // Mirror the dequeue side: the gauge counts the job from the
         // moment submission is attempted, and is rolled back on the
         // error path so a rejected job leaves no trace.
@@ -289,12 +239,7 @@ impl WorkerPool {
                 metrics().queue_depth.dec();
                 return Err(SubmitError);
             }
-            let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed);
-            q.heap.push(PrioJob {
-                priority,
-                seq,
-                job: Box::new(job),
-            });
+            q.jobs.push_back(Box::new(job));
         }
         metrics().submitted.inc();
         self.shared.available.notify_one();
@@ -317,8 +262,8 @@ fn worker_loop(shared: &Shared) {
         // queue state is still sound, so keep draining.
         let mut q = lock_ignore_poison(&shared.queue);
         let job = loop {
-            if let Some(pj) = q.heap.pop() {
-                break pj.job;
+            if let Some(job) = q.jobs.pop_front() {
+                break job;
             }
             if q.closed {
                 return; // queue drained and closed: pool is shutting down
@@ -353,7 +298,7 @@ impl Drop for WorkerPool {
         // stranded here. Drop them and release their gauge increments
         // so `oraql_pool_queue_depth` returns to its pre-pool level.
         let mut q = lock_ignore_poison(&self.shared.queue);
-        while q.heap.pop().is_some() {
+        while q.jobs.pop_front().is_some() {
             metrics().queue_depth.dec();
         }
     }
@@ -447,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn higher_priority_jobs_dequeue_first() {
+    fn jobs_dequeue_in_submission_order() {
         let pool = WorkerPool::new(1);
         let order = Arc::new(Mutex::new(Vec::new()));
         let (gate_tx, gate_rx) = channel::<()>();
@@ -457,10 +402,10 @@ mod tests {
             gate_rx.recv().unwrap();
         })
         .unwrap();
-        for (prio, tag) in [(0, "low-a"), (0, "low-b"), (50, "high"), (10, "mid")] {
+        for tag in ["a", "b", "c", "d"] {
             let order = Arc::clone(&order);
             let done_tx = done_tx.clone();
-            pool.submit_with_priority(prio, move || {
+            pool.submit(move || {
                 lock_ignore_poison(&order).push(tag);
                 let _ = done_tx.send(());
             })
@@ -470,11 +415,7 @@ mod tests {
         for _ in 0..4 {
             done_rx.recv().unwrap();
         }
-        // Priority descending, FIFO among equals.
-        assert_eq!(
-            *lock_ignore_poison(&order),
-            vec!["high", "mid", "low-a", "low-b"]
-        );
+        assert_eq!(*lock_ignore_poison(&order), vec!["a", "b", "c", "d"]);
     }
 
     #[test]

@@ -27,22 +27,6 @@
 //! [`Prober::cancel_probe`] when the parent's answer (or the Fig. 2
 //! deduction) makes it moot.
 //!
-//! # The speculation DAG (`speculate_depth >= 2`)
-//!
-//! Sibling speculation only looks one probe ahead. The strategies can
-//! speculate deeper: conditioned on "the parent range fails", the next
-//! probes are the successively halved prefixes the recursion will
-//! issue (chunked), or the first split probe of whichever residue-class
-//! subtree survives (frequency space). [`Prober::hint_probe`] launches
-//! those grandchild configurations as *fire-and-forget* warm-ups: their
-//! verdicts land in the shared caches (or are joined in-flight) by the
-//! time the blocking walk reaches them, but no strategy decision ever
-//! reads a hint directly. When a parent outcome invalidates a subtree —
-//! including via the Fig. 2 deduction — its hints are discarded with
-//! [`Prober::cancel_hint`]. [`Prober::note_range_outcome`] feeds the
-//! dangerous-fraction priors that order hint execution (likely-clean
-//! subtrees first).
-//!
 //! # Determinism contract
 //!
 //! The default trait implementations make speculation a no-op: the
@@ -53,8 +37,7 @@
 //! decision sequence is a pure function of probe outcomes — parallel
 //! probers that answer probes deterministically (the driver's compile +
 //! VM pipeline is deterministic) produce identical decisions at any job
-//! count. Hints keep that property trivially: they can only warm
-//! caches, never alter the blocking probe sequence or its outcomes.
+//! count.
 
 use crate::sequence::Decisions;
 
@@ -79,14 +62,6 @@ pub struct SpeculativeProbe {
     pub ticket: Option<u64>,
 }
 
-/// A fire-and-forget warm-up probe of the speculation DAG. Obtained
-/// from [`Prober::hint_probe`]; optionally discarded early with
-/// [`Prober::cancel_hint`] when the subtree it belongs to is
-/// invalidated. Unlike [`SpeculativeProbe`] it is never waited on —
-/// dropping the handle simply lets the hint finish and warm the caches.
-#[derive(Debug)]
-pub struct HintHandle(pub u64);
-
 /// Something that can compile + test a decision source (the driver).
 pub trait Prober {
     /// Compile with `d`, run, verify.
@@ -97,38 +72,12 @@ pub trait Prober {
     /// Records a test skipped thanks to the deduction rule.
     fn note_deduced(&mut self);
 
-    /// How many outcome levels ahead this prober wants the strategies
-    /// to speculate. `0` disables speculation entirely, `1` launches
-    /// only the immediate sibling of each blocking probe (the classic
-    /// one-ahead flow), and `>= 2` additionally issues
-    /// [`Prober::hint_probe`] warm-ups up to `depth - 1` levels down
-    /// the bisection DAG.
+    /// Unread by both strategies, which speculate exactly one sibling
+    /// per blocking probe whenever [`Prober::probe_speculative`] runs
+    /// in the background. Kept only so existing implementors compile;
+    /// removed together with them.
     fn speculate_depth(&self) -> u32 {
         1
-    }
-
-    /// Starts a fire-and-forget warm-up of `d` — a configuration the
-    /// strategy *might* block on one or two levels down the DAG.
-    /// `start` is the first undecided query index of the hinted range
-    /// (the priors cluster key). Returns `None` when the prober does
-    /// not execute hints (the default), in which case nothing happens.
-    fn hint_probe(&mut self, d: &Decisions, start: u64) -> Option<HintHandle> {
-        let _ = (d, start);
-        None
-    }
-
-    /// Abandons a hint whose subtree was invalidated by a parent
-    /// outcome or the Fig. 2 deduction. The default is a no-op.
-    fn cancel_hint(&mut self, h: HintHandle) {
-        let _ = h;
-    }
-
-    /// Records the settled outcome of a decided range starting at query
-    /// index `start`: `dangerous` means the range kept at least one
-    /// pessimistic answer. Feeds the suite-global priors that rank
-    /// which subtrees to speculate first. The default is a no-op.
-    fn note_range_outcome(&mut self, start: u64, dangerous: bool) {
-        let _ = (start, dangerous);
     }
 
     /// Starts evaluating `d` concurrently, if this prober can. The
@@ -202,7 +151,6 @@ pub fn chunked(p: &mut dyn Prober) -> Decisions {
         });
         if p.probe(&optimistic_rest).pass {
             p.cancel_probe(tail_spec);
-            p.note_range_outcome(prefix.len() as u64, false);
             return optimistic_rest;
         }
         if p.budget_exceeded() {
@@ -259,9 +207,7 @@ fn decide_range(
         prefix.extend(std::iter::repeat_n(false, h as usize));
         return;
     }
-    let start = prefix.len() as u64;
     let mut half_spec: Option<SpeculativeProbe> = None;
-    let mut fail_hints: Vec<HintHandle> = Vec::new();
     if known_fail {
         debug_assert!(prelaunched.is_none());
         p.note_deduced();
@@ -282,31 +228,6 @@ fn decide_range(
                 seq: half,
                 tail: false,
             }));
-            // Deeper speculation (the DAG): still conditioned on "this
-            // range fails", the recursion's own earlier-half siblings
-            // are the successively halved prefixes — warm them as
-            // fire-and-forget hints while the parent is in flight.
-            let depth = p.speculate_depth();
-            if depth >= 2 && !p.budget_exceeded() {
-                let mut hh = h / 2;
-                for _ in 1..depth {
-                    hh /= 2;
-                    if hh == 0 {
-                        break;
-                    }
-                    let mut g = prefix.clone();
-                    g.extend(std::iter::repeat_n(true, hh as usize));
-                    if let Some(hint) = p.hint_probe(
-                        &Decisions::Explicit {
-                            seq: g,
-                            tail: false,
-                        },
-                        start,
-                    ) {
-                        fail_hints.push(hint);
-                    }
-                }
-            }
         }
         let outcome = match prelaunched {
             Some(s) => {
@@ -316,25 +237,16 @@ fn decide_range(
             None => p.probe(&d),
         };
         if outcome.pass {
-            // The fail-conditioned subtree is invalidated wholesale.
-            for hint in fail_hints {
-                p.cancel_hint(hint);
-            }
             if let Some(s) = half_spec {
                 p.cancel_probe(s);
             }
             *prefix = seq;
-            p.note_range_outcome(start, false);
             return;
         }
-        // Range fails: the hints stand — the recursion's blocking
-        // probes for the same configurations will find their verdicts
-        // cached or join them in flight.
     }
     if h == 1 {
         debug_assert!(half_spec.is_none());
         prefix.push(false);
-        p.note_range_outcome(start, true);
         return;
     }
     let h1 = h / 2;
@@ -377,15 +289,6 @@ pub fn frequency_space(p: &mut dyn Prober) -> Decisions {
         let c2 = (2 * m, r + m);
         let spec1 = p.probe_speculative(&ctx(&[c1], &finalized, &work));
         let spec2 = p.probe_speculative(&ctx(&[c2], &finalized, &work));
-        // Deeper speculation (the DAG): if exactly one sibling survives
-        // this round, the next iteration pops it with `finalized`/`work`
-        // unchanged, so its first split probe is computable now — warm
-        // one grandchild per possible surviving subtree.
-        let (mut hint1, mut hint2) = (None, None);
-        if p.speculate_depth() >= 2 {
-            hint1 = p.hint_probe(&ctx(&[(4 * m, r)], &finalized, &work), r);
-            hint2 = p.hint_probe(&ctx(&[(4 * m, r + m)], &finalized, &work), r + m);
-        }
         // Measure the current query count with this class pessimistic.
         let o = p.probe(&ctx(&[(m, r)], &finalized, &work));
         if o.pass {
@@ -400,14 +303,7 @@ pub fn frequency_space(p: &mut dyn Prober) -> Decisions {
         if class_size <= 1 {
             p.cancel_probe(spec1);
             p.cancel_probe(spec2);
-            if let Some(h) = hint1.take() {
-                p.cancel_hint(h);
-            }
-            if let Some(h) = hint2.take() {
-                p.cancel_hint(h);
-            }
             finalized.push((m, r));
-            p.note_range_outcome(r, true);
             continue;
         }
         let o1 = p.wait_probe(spec1);
@@ -415,38 +311,17 @@ pub fn frequency_space(p: &mut dyn Prober) -> Decisions {
             last_passing = ctx(&[c1], &finalized, &work);
             // All dangers of (m, r) live in c1; c2 is clean. The
             // c2-only test would fail — deduced, not run: cancelling
-            // the speculative sibling *is* the Fig. 2 deduction here,
-            // and the whole c2 subtree (its grandchild hint included)
-            // is invalidated with it.
+            // the speculative sibling *is* the Fig. 2 deduction here.
             p.cancel_probe(spec2);
-            if let Some(h) = hint2.take() {
-                p.cancel_hint(h);
-            }
             p.note_deduced();
-            p.note_range_outcome(r + m, false);
             work.push(c1);
             continue;
         }
         let o2 = p.wait_probe(spec2);
         if o2.pass {
             last_passing = ctx(&[c2], &finalized, &work);
-            // Dangers all live in c2: the c1 subtree is dropped, and
-            // its grandchild hint with it.
-            if let Some(h) = hint1.take() {
-                p.cancel_hint(h);
-            }
-            p.note_range_outcome(r, false);
             work.push(c2);
         } else {
-            // Both halves dangerous: the next iterations see a changed
-            // work set, so neither grandchild hint matches a future
-            // probe — cancel both rather than let them run stale.
-            if let Some(h) = hint1.take() {
-                p.cancel_hint(h);
-            }
-            if let Some(h) = hint2.take() {
-                p.cancel_hint(h);
-            }
             work.push(c1);
             work.push(c2);
         }
@@ -583,112 +458,6 @@ mod tests {
         let d = chunked(&mut s);
         // Whatever was decided, the result must verify.
         assert!(s.dangerous.iter().all(|&i| !d.decide(i)), "{d:?}");
-    }
-
-    /// Synthetic prober with the speculation DAG enabled: it records
-    /// hint launches and cancellations without executing anything —
-    /// hints are pure warm-ups, so a prober that ignores them must
-    /// still reach identical decisions.
-    struct SpecSynthetic {
-        inner: Synthetic,
-        depth: u32,
-        next_hint: u64,
-        live: std::collections::HashSet<u64>,
-        launched: u64,
-        cancelled: u64,
-        hinted: Vec<Decisions>,
-        notes: Vec<(u64, bool)>,
-    }
-
-    impl SpecSynthetic {
-        fn new(dangerous: Vec<u64>, n: u64, depth: u32) -> Self {
-            SpecSynthetic {
-                inner: synth(dangerous, n),
-                depth,
-                next_hint: 0,
-                live: Default::default(),
-                launched: 0,
-                cancelled: 0,
-                hinted: Vec::new(),
-                notes: Vec::new(),
-            }
-        }
-    }
-
-    impl Prober for SpecSynthetic {
-        fn probe(&mut self, d: &Decisions) -> ProbeOutcome {
-            self.inner.probe(d)
-        }
-        fn budget_exceeded(&self) -> bool {
-            self.inner.budget_exceeded()
-        }
-        fn note_deduced(&mut self) {
-            self.inner.note_deduced()
-        }
-        fn speculate_depth(&self) -> u32 {
-            self.depth
-        }
-        fn hint_probe(&mut self, d: &Decisions, _start: u64) -> Option<HintHandle> {
-            let id = self.next_hint;
-            self.next_hint += 1;
-            self.live.insert(id);
-            self.launched += 1;
-            self.hinted.push(d.clone());
-            Some(HintHandle(id))
-        }
-        fn cancel_hint(&mut self, h: HintHandle) {
-            assert!(self.live.remove(&h.0), "hint cancelled twice");
-            self.cancelled += 1;
-        }
-        fn note_range_outcome(&mut self, start: u64, dangerous: bool) {
-            self.notes.push((start, dangerous));
-        }
-    }
-
-    #[test]
-    fn chunked_dag_hints_do_not_perturb_decisions() {
-        let mut plain = synth(vec![37, 64, 65], 128);
-        let d_plain = chunked(&mut plain);
-        let mut dag = SpecSynthetic::new(vec![37, 64, 65], 128, 3);
-        let d_dag = chunked(&mut dag);
-        // Identical blocking probe sequence ⇒ identical result and
-        // identical probe count — hints ride alongside, never within.
-        assert_eq!(d_plain, d_dag);
-        assert_eq!(plain.tests, dag.inner.tests);
-        assert!(dag.launched > 0, "depth 3 must launch hints");
-        assert!(dag.cancelled <= dag.launched);
-        // Every hint is an explicit pessimistic-tail prefix probe.
-        for h in &dag.hinted {
-            assert!(
-                matches!(h, Decisions::Explicit { tail: false, .. }),
-                "{h:?}"
-            );
-        }
-        // Range outcomes were reported for the priors.
-        assert!(dag.notes.iter().any(|&(_, dangerous)| dangerous));
-        assert!(dag.notes.iter().any(|&(_, dangerous)| !dangerous));
-    }
-
-    #[test]
-    fn frequency_dag_hints_do_not_perturb_decisions() {
-        let mut plain = synth(vec![5, 64], 128);
-        let d_plain = frequency_space(&mut plain);
-        let mut dag = SpecSynthetic::new(vec![5, 64], 128, 2);
-        let d_dag = frequency_space(&mut dag);
-        assert_eq!(d_plain, d_dag);
-        assert_eq!(plain.tests, dag.inner.tests);
-        assert!(dag.launched > 0, "depth 2 must launch hints");
-        assert!(dag.cancelled <= dag.launched);
-    }
-
-    #[test]
-    fn depth_below_two_launches_no_hints() {
-        for depth in [0, 1] {
-            let mut dag = SpecSynthetic::new(vec![37], 100, depth);
-            let d = chunked(&mut dag);
-            check_result(&dag.inner, &d);
-            assert_eq!(dag.launched, 0, "depth {depth} must not hint");
-        }
     }
 
     #[test]

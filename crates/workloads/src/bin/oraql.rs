@@ -3,8 +3,7 @@
 //! ```text
 //! oraql --list
 //! oraql --benchmark <name> [--strategy chunked|frequency] [--dump]
-//!       [--jobs N] [--trace <file.jsonl>] [--interp decoded|tree]
-//!       [--speculate-depth N] [--no-cross-case-dedup]
+//!       [--jobs N] [--trace <file.jsonl>]
 //!       [--store <journal>] [--no-store]
 //!       [--server <addr>] [--no-server]
 //!       [--fault-plan <spec>] [--probe-deadline-ms N]
@@ -22,24 +21,11 @@
 //! effort, and (with `--dump`) the Fig. 3-style pessimistic-query
 //! report.
 //!
-//! `--jobs N` (default 1) bounds the probe concurrency: `1` is the
-//! sequential driver with byte-for-byte identical output to earlier
-//! versions; `N > 1` probes speculatively and, with `--all`, runs up to
-//! `N` benchmarks at once sharing one verdict cache. `--trace` writes
-//! one JSONL event per probe answer and prints a per-case summary
-//! table.
-//!
-//! `--speculate-depth N` (default 1) sizes the speculation DAG at
-//! `--jobs > 1`: `0` disables speculation (shared caches only), `1`
-//! speculates bisection siblings, `>= 2` additionally enqueues
-//! grandchild hint probes derived from each possible parent outcome,
-//! cancelling the subtrees the parent's answer invalidates.
-//! `--no-cross-case-dedup` turns off the suite-global probe dedup
-//! (in-flight digest claims plus the content-addressed executable
-//! tier) that lets identical compiles across cases be paid for once.
-//! Config keys `speculate_depth =` / `cross_case_dedup =` do the same;
-//! the CLI wins. Neither affects `--jobs 1`, which stays byte-for-byte
-//! identical to the sequential driver.
+//! `--jobs N` (default 1) bounds the probe concurrency: `1` probes
+//! inline; `N > 1` launches one speculative sibling per blocking probe
+//! and, with `--all`, runs up to `N` benchmarks at once. Every case of
+//! `--all` shares one in-memory verdict cache. `--trace` writes one
+//! JSONL event per probe answer and prints a per-case summary table.
 //!
 //! `--store <journal>` attaches the crash-safe persistent verdict store
 //! (`oraql-store`): probe verdicts are journaled across runs, so a warm
@@ -95,8 +81,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: oraql --list\n       \
          oraql --benchmark <name> [--strategy chunked|frequency] [--dump] [--max-tests N]\n                \
-         [--jobs N] [--trace <file.jsonl>] [--interp decoded|tree]\n                \
-         [--speculate-depth N] [--no-cross-case-dedup]\n                \
+         [--jobs N] [--trace <file.jsonl>]\n                \
          [--store <journal>] [--no-store]\n                \
          [--server <addr>] [--no-server]\n                \
          [--fault-plan <spec>] [--probe-deadline-ms N]\n                \
@@ -136,7 +121,7 @@ fn parsed_flag<T: std::str::FromStr>(args: &[String], i: &mut usize, flag: &str,
 
 /// Compiles and runs one benchmark with a fixed decision sequence (the
 /// paper's "program compiled with (almost) perfect alias information").
-fn replay(name: &str, seq_arg: &str, interp: oraql_vm::InterpMode) -> i32 {
+fn replay(name: &str, seq_arg: &str) -> i32 {
     let Some((case, _)) = prepare_case(name, None) else {
         eprintln!("unknown benchmark {name:?}; try --list");
         return 2;
@@ -156,9 +141,7 @@ fn replay(name: &str, seq_arg: &str, interp: oraql_vm::InterpMode) -> i32 {
         eprintln!("{name}: module has no main function");
         return 1;
     };
-    let mut interp = oraql_vm::Interpreter::new(&compiled.module)
-        .with_fuel(case.fuel)
-        .with_mode(interp);
+    let mut interp = oraql_vm::Interpreter::new(&compiled.module).with_fuel(case.fuel);
     match interp.run(main, vec![]) {
         Ok(_) => {
             print!("{}", interp.stdout());
@@ -250,15 +233,10 @@ fn print_result(
         r.effort.compiles, r.effort.tests_run, r.effort.tests_cached, r.effort.tests_deduced
     );
     if jobs > 1 {
-        // Extra parallel-mode counters; kept off the jobs=1 path so
-        // sequential reports stay byte-identical to earlier versions.
         println!(
-            "parallel: {} dec-cached ({} in-flight joins), {} speculative launched, \
-             {} hints, {} cancelled, {} wasted",
+            "parallel: {} dec-cached, {} speculative launched, {} cancelled, {} wasted",
             r.effort.tests_dec_cached,
-            r.effort.inflight_joins,
             r.effort.spec_launched,
-            r.effort.spec_hints,
             r.effort.spec_cancelled,
             r.effort.spec_wasted
         );
@@ -443,10 +421,6 @@ fn main() {
                     std::process::exit(2)
                 }
             }
-            "--speculate-depth" => {
-                opts.speculate_depth = parsed_flag(&args, &mut i, flag, "an integer depth");
-            }
-            "--no-cross-case-dedup" => opts.cross_case_dedup = false,
             "--trace" => trace_path = Some(flag_value(&args, &mut i, flag)),
             "--store" => store_path = Some(flag_value(&args, &mut i, flag)),
             "--no-store" => no_store = true,
@@ -458,13 +432,6 @@ fn main() {
             "--probe-deadline-ms" => {
                 probe_deadline_ms = Some(parsed_flag(&args, &mut i, flag, "a millisecond count"));
             }
-            "--interp" => {
-                let v = flag_value(&args, &mut i, flag);
-                opts.interp = oraql_vm::InterpMode::parse(&v).unwrap_or_else(|| {
-                    eprintln!("bad --interp {v:?}: expected decoded|tree");
-                    std::process::exit(2)
-                });
-            }
             "--config" | "-c" => {
                 let path = flag_value(&args, &mut i, flag);
                 let cfg = Config::load(&path).unwrap_or_else(|e| {
@@ -473,9 +440,6 @@ fn main() {
                 });
                 opts.strategy = cfg.strategy;
                 opts.max_tests = cfg.max_tests;
-                opts.interp = cfg.interp;
-                opts.speculate_depth = cfg.speculate_depth;
-                opts.cross_case_dedup = cfg.cross_case_dedup;
                 benchmark = Some(cfg.benchmark.clone());
                 dump |= cfg.dump;
                 config = Some(cfg);
@@ -564,7 +528,7 @@ fn main() {
     let gate = !no_gate && config.as_ref().is_none_or(|c| c.soundness_gate);
 
     let code = if let (Some(name), Some(seq)) = (&benchmark, &replay_seq) {
-        replay(name, seq, opts.interp)
+        replay(name, seq)
     } else if all {
         run_all(&opts, dump, config.as_ref())
     } else if let Some(name) = benchmark {
@@ -655,13 +619,10 @@ fn render_metrics_section(d: &oraql_obs::Snapshot) -> String {
         c("oraql_driver_funnel_vm_runs_total"),
     ));
     out.push_str(&format!(
-        "speculation: {} launched, {} hints, {} cancelled, {} wasted | dedup: {} in-flight joins, {} content-exe hits\n",
+        "speculation: {} launched, {} cancelled, {} wasted\n",
         c("oraql_driver_speculation_launched_total"),
-        c("oraql_driver_speculation_hints_total"),
         c("oraql_driver_speculation_cancelled_total"),
         c("oraql_driver_speculation_wasted_total"),
-        c("oraql_driver_funnel_inflight_joins_total"),
-        c("oraql_driver_funnel_content_exe_hits_total"),
     ));
     out.push_str(&format!(
         "vm: {} runs, {} insts, {} fuel refunds, {} decode lowerings\n",

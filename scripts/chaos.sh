@@ -12,7 +12,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BIN=target/release/oraql
-[ -x "$BIN" ] || cargo build --release --offline
+[ -x "$BIN" ] || cargo build --release --offline --workspace
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT

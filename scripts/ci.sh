@@ -4,8 +4,13 @@
 # the repo root; exits non-zero on the first failure.
 set -eux
 
-cargo build --release --offline
+# Build every workspace member: the smokes below run the `oraql` and
+# `oraql-served` binaries, which a root-package build would not refresh.
+cargo build --release --offline --workspace
 cargo test -q --offline
+# Every crate's unit tests and per-crate integration tests (core driver,
+# analysis, passes, vm, ...), which the root-package run above skips.
+cargo test -q --offline --workspace
 # The differential suite is the equivalence gate for the two interpreter
 # modes (tree-walk reference vs. pre-decoded executor); run it by name so
 # a filtered `cargo test` invocation can never silently skip it.
@@ -28,14 +33,14 @@ cargo test -q --offline --test served_roundtrip
 # agreement, span hierarchy, fig2-equals-CLI), likewise by name.
 cargo test -q --offline -p oraql-obs
 cargo test -q --offline --test obs_analyzer
-# The scheduler-v2 gates: byte-identical jobs-1 runs at any speculation
-# depth, decision/Fig.2 agreement across jobs x depth, chaos-under-
-# speculation, and pool queue-depth gauge accounting, likewise by name.
+# The scheduler gates: decision agreement across job counts, chaos under
+# sibling speculation, and pool queue-depth gauge accounting, likewise
+# by name.
 cargo test -q --offline --test sched_determinism
 cargo test -q --offline --test pool_shutdown
 # The workload generator's gates: plan/motif/corpus unit suites and the
 # end-to-end soundness gate (byte-identical regeneration, label/verdict
-# agreement over jobs x depth, mislabel detection, chaos), by name.
+# agreement across job counts, mislabel detection, chaos), by name.
 cargo test -q --offline -p oraql-gen
 cargo test -q --offline --test gen_soundness
 # The wire-chaos gates: network fault injection against a live daemon,

@@ -91,7 +91,10 @@ fn trace_is_consistent_with_effort() {
     assert_eq!(count(ProbeKind::Executed), r.effort.tests_run);
     assert_eq!(count(ProbeKind::ExeCacheHit), r.effort.tests_cached);
     assert_eq!(count(ProbeKind::Deduced), r.effort.tests_deduced);
-    assert_eq!(count(ProbeKind::DecisionCacheHit), 0); // jobs = 1
+    assert_eq!(
+        count(ProbeKind::DecisionCacheHit),
+        r.effort.tests_dec_cached
+    );
 
     let par_sink = TraceSink::in_memory();
     let r = Driver::run(

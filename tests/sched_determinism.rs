@@ -1,88 +1,44 @@
-//! Determinism gates for the probe scheduler v2 (speculation DAG +
-//! cross-case dedup) over the full 16-configuration workload suite:
+//! Determinism gates for the probe scheduler (one speculative sibling
+//! per blocking probe on a shared pool) over the full 16-configuration
+//! workload suite:
 //!
-//! * `--jobs 1` is byte-identical at any speculation depth — same
-//!   decisions, same effort counters, same probe trace (the knobs must
-//!   be completely inert without a pool);
-//! * at depth 0 every parallel job count replays the same per-case
-//!   probe sequence, so the Fig. 2 effort tables agree between
-//!   `--jobs 2` and `--jobs 8` field-for-field (timing excluded);
-//! * at any (jobs, depth) combination the *decisions* agree with the
-//!   sequential run in canonical form, and the optimized programs
-//!   produce identical verified output;
+//! * at every job count the *decisions* agree with the sequential run
+//!   in canonical form, and the optimized programs produce identical
+//!   verified output;
 //! * chaos: the suite under the `scripts/chaos.sh` seed matrix still
-//!   completes with every case verified at `--jobs 4 --speculate-depth
-//!   3`, and an always-failing probe environment degrades to
-//!   quarantined may-alias — never to unverified output.
+//!   completes with every case verified at `--jobs 4`, and an
+//!   always-failing probe environment degrades to quarantined
+//!   may-alias — never to unverified output.
 //!
-//! The cross-case content tier keys probes by case-independent module
-//! text, so these gates also pin that the sixteen configurations build
-//! pairwise-distinct modules (if two became identical, the depth-0
-//! tables could legitimately diverge and this suite must be revisited).
+//! The verdict tiers are salted per case, so two configurations that
+//! built identical modules would still not share verdicts; the suite is
+//! nonetheless pinned to build pairwise-distinct modules, so a registry
+//! edit that silently duplicates a configuration is caught here.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use oraql::report::{summarize_trace_by_case, TraceSummary};
-use oraql::trace::{ProbeEvent, TraceSink};
 use oraql::{
     run_suite, DriverOptions, DriverResult, FaultInjector, FaultPlan, FaultSite, TestCase,
 };
 use oraql_faults::Rate;
 use oraql_workloads as workloads;
 
-/// One suite leg: every case, shared caches/pool per `jobs`, with a
-/// trace attached. Panics if any case fails.
-fn run_leg(
-    jobs: usize,
-    depth: u32,
-    faults: Option<FaultPlan>,
-) -> (Vec<DriverResult>, Vec<ProbeEvent>) {
-    let sink = TraceSink::in_memory();
+/// One suite leg: every case, shared caches/pool per `jobs`. Panics if
+/// any case fails.
+fn run_leg(jobs: usize, faults: Option<FaultPlan>) -> Vec<DriverResult> {
     let opts = DriverOptions {
         jobs,
-        speculate_depth: depth,
-        trace: Some(sink.clone()),
         faults: faults.map(|p| {
             oraql_faults::quiet_injected_panics();
             Arc::new(FaultInjector::new(p))
         }),
         ..Default::default()
     };
-    let results: Vec<DriverResult> = run_suite(&workloads::all_cases(), &opts)
+    run_suite(&workloads::all_cases(), &opts)
         .into_iter()
         .map(|r| r.expect("suite case failed"))
-        .collect();
-    (results, sink.events())
-}
-
-/// The schedule-independent view of one probe event (wall time is the
-/// only field a scheduler may legitimately change at `--jobs 1`).
-fn event_key(e: &ProbeEvent) -> (String, u64, u64, &'static str, bool, u64, bool) {
-    (
-        e.case.clone(),
-        e.seq,
-        e.digest,
-        e.kind.as_str(),
-        e.pass,
-        e.unique,
-        e.speculative,
-    )
-}
-
-/// Per-case Fig. 2 effort tables with the timing column cleared.
-fn fig2_counts(events: &[ProbeEvent]) -> Vec<(String, TraceSummary)> {
-    summarize_trace_by_case(events)
-        .into_iter()
-        .map(|(name, mut t)| {
-            t.wall_micros = 0;
-            (name, t)
-        })
         .collect()
-}
-
-fn decisions(results: &[DriverResult]) -> Vec<String> {
-    results.iter().map(|r| r.decisions.render()).collect()
 }
 
 fn canonical(results: &[DriverResult]) -> Vec<String> {
@@ -92,15 +48,7 @@ fn canonical(results: &[DriverResult]) -> Vec<String> {
         .collect()
 }
 
-fn stdouts(results: &[DriverResult]) -> Vec<&str> {
-    results
-        .iter()
-        .map(|r| r.final_run.stdout.as_str())
-        .collect()
-}
-
-/// The cross-case content tier (and the depth-0 table identity below)
-/// relies on the sixteen configurations building distinct programs.
+/// The sixteen configurations build distinct programs.
 #[test]
 fn workload_modules_are_pairwise_distinct() {
     let cases: Vec<TestCase> = workloads::all_cases();
@@ -116,64 +64,32 @@ fn workload_modules_are_pairwise_distinct() {
     );
 }
 
-/// `--jobs 1` ignores the scheduler knobs entirely: depth 0, 1, and 3
-/// replay the seed driver's probe sequence byte-for-byte.
-#[test]
-fn jobs1_is_byte_identical_at_any_depth() {
-    let (r0, e0) = run_leg(1, 0, None);
-    let keys0: Vec<_> = e0.iter().map(event_key).collect();
-    for depth in [1u32, 3] {
-        let (r, e) = run_leg(1, depth, None);
-        assert_eq!(decisions(&r0), decisions(&r), "depth {depth}: decisions");
-        assert_eq!(stdouts(&r0), stdouts(&r), "depth {depth}: output");
-        for (a, b) in r0.iter().zip(&r) {
-            assert_eq!(a.effort, b.effort, "depth {depth}: effort for {}", a.name);
-        }
-        let keys: Vec<_> = e.iter().map(event_key).collect();
-        assert_eq!(keys0, keys, "depth {depth}: probe trace diverged");
-    }
-}
-
-/// Depth 0 with a pool: cases share caches but every per-case probe
-/// path is sequential, so `--jobs 2` and `--jobs 8` agree on decisions
-/// *and* on the per-case Fig. 2 effort tables, field for field.
-#[test]
-fn depth0_fig2_tables_agree_across_job_counts() {
-    let (r2, e2) = run_leg(2, 0, None);
-    let (r8, e8) = run_leg(8, 0, None);
-    assert_eq!(decisions(&r2), decisions(&r8));
-    assert_eq!(stdouts(&r2), stdouts(&r8));
-    assert_eq!(fig2_counts(&e2), fig2_counts(&e8));
-}
-
-/// Every (jobs, depth) combination converges on the sequential
-/// decisions (canonical form) and the same verified program output.
+/// Every job count converges on the sequential decisions (canonical
+/// form) and the same verified program output.
 #[test]
 fn all_legs_agree_with_sequential_decisions() {
-    let (seq, _) = run_leg(1, 0, None);
+    let seq = run_leg(1, None);
     let want_dec = canonical(&seq);
     let want_out: Vec<String> = seq.iter().map(|r| r.final_run.stdout.clone()).collect();
     for jobs in [2usize, 8] {
-        for depth in [0u32, 1, 3] {
-            let (r, _) = run_leg(jobs, depth, None);
-            assert_eq!(want_dec, canonical(&r), "jobs {jobs} depth {depth}");
-            assert_eq!(
-                want_out,
-                r.iter()
-                    .map(|x| x.final_run.stdout.clone())
-                    .collect::<Vec<_>>(),
-                "jobs {jobs} depth {depth}"
-            );
-            // (Each case's final output was already verified against
-            // its baseline inside the driver — a mismatch would have
-            // surfaced as a `FinalBroken` error above.)
-        }
+        let r = run_leg(jobs, None);
+        assert_eq!(want_dec, canonical(&r), "jobs {jobs}");
+        assert_eq!(
+            want_out,
+            r.iter()
+                .map(|x| x.final_run.stdout.clone())
+                .collect::<Vec<_>>(),
+            "jobs {jobs}"
+        );
+        // (Each case's final output was already verified against its
+        // baseline inside the driver — a mismatch would have surfaced
+        // as a `FinalBroken` error above.)
     }
 }
 
-/// The `scripts/chaos.sh` seed matrix at full speculation: the suite
-/// completes with every case verified — faults degrade probes, never
-/// correctness.
+/// The `scripts/chaos.sh` seed matrix with sibling speculation on a
+/// 4-wide pool: the suite completes with every case verified — faults
+/// degrade probes, never correctness.
 #[test]
 fn chaos_seeds_complete_verified_under_deep_speculation() {
     for seed in [1u64, 42, 1337] {
@@ -181,7 +97,7 @@ fn chaos_seeds_complete_verified_under_deep_speculation() {
         // `run_leg` unwraps every case: completion means each final
         // program was compiled and verified against its baseline
         // despite the injected faults.
-        let (r, _) = run_leg(4, 3, Some(plan));
+        let r = run_leg(4, Some(plan));
         assert_eq!(r.len(), 16, "seed {seed}");
     }
 }
@@ -195,7 +111,6 @@ fn total_probe_failure_degrades_to_may_alias() {
     oraql_faults::quiet_injected_panics();
     let opts = DriverOptions {
         jobs: 4,
-        speculate_depth: 3,
         max_tests: 12,
         probe_retries: 1,
         faults: Some(Arc::new(FaultInjector::new(plan))),

@@ -211,3 +211,38 @@ fn compaction_preserves_driver_verdicts() {
     assert_same_result("testsnap_omp", &cold, &warm);
     assert_eq!(warm.effort.tests_run, 0, "{:?}", warm.effort);
 }
+
+/// At `jobs = 1` with no store, the in-memory decisions tier answers a
+/// repeated decision vector without recompiling — exactly as an empty
+/// store attached to the same run does. The pinned totals are those of
+/// the 16-configuration suite.
+#[test]
+fn memory_tier_answers_repeated_vectors_like_an_empty_store() {
+    let cases = workloads::all_cases();
+    let run = |store: Option<Arc<Store>>| -> Vec<DriverResult> {
+        oraql::run_suite(
+            &cases,
+            &DriverOptions {
+                store,
+                ..Default::default()
+            },
+        )
+        .into_iter()
+        .map(|r| r.expect("suite case failed"))
+        .collect()
+    };
+    let total = |rs: &[DriverResult], f: fn(&DriverResult) -> u64| rs.iter().map(f).sum::<u64>();
+
+    let memory = run(None);
+    assert_eq!(total(&memory, |r| r.effort.compiles), 589);
+    assert_eq!(total(&memory, |r| r.effort.tests_run), 321);
+    assert_eq!(total(&memory, |r| r.effort.tests_deduced), 135);
+    assert!(total(&memory, |r| r.effort.tests_dec_cached) > 0);
+
+    let scratch = Scratch::new("memory_tier");
+    let stored = run(Some(Arc::new(Store::open(scratch.journal()).unwrap())));
+    for (m, s) in memory.iter().zip(&stored) {
+        assert_same_result(&m.name, m, s);
+        assert_eq!(m.effort.compiles, s.effort.compiles, "{}", m.name);
+    }
+}
