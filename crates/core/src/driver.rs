@@ -1,4 +1,4 @@
-//! The ORAQL probing driver (paper §IV-B), parallel edition.
+//! The ORAQL probing driver (paper §IV-B).
 //!
 //! Workflow: compile and run with the ORAQL pass deactivated and verify
 //! the reference behaviour; try answering *every* query optimistically
@@ -11,8 +11,7 @@
 //! Every probe goes through one shared `ProbeEngine` per driver. The
 //! engine holds an ordered list of verdict tiers, fastest first:
 //!
-//! 1. **memory** — [`VerdictCaches`], always on and shared by every
-//!    case of a [`run_suite`];
+//! 1. **memory** — [`VerdictCaches`], always on, one per case run;
 //! 2. the **persistent verdict store** ([`oraql_store::Store`], when
 //!    [`DriverOptions::store`] is set), which reuses verdicts another
 //!    *process* computed;
@@ -46,27 +45,19 @@
 //!
 //! # Concurrency and determinism contract
 //!
-//! * With `jobs = 1` (the default) no worker pool exists and every
-//!   probe runs inline in the strategy's order. An executable-hash hit
-//!   then reports the unique-query count stored with the verdict (the
-//!   seed driver's quirk), so the stored outcome of a decision vector
-//!   depends on which vector first produced the executable.
-//! * With `jobs > 1` the bisection strategies launch one **speculative
-//!   sibling probe** ([`Prober::probe_speculative`]) per blocking probe
-//!   on a bounded [`WorkerPool`]; when the Fig. 2 deduction rule fires,
-//!   the now-unneeded sibling is cancelled. An executable-hash hit
-//!   reports the freshly compiled unique count, so every probe outcome
-//!   is a pure function of the probed decision vector and parallel runs
-//!   are repeatable at any job count. They decide the same queries as
-//!   `jobs = 1`: the final decisions agree in [`Decisions::canonical`]
-//!   form and all verification verdicts match. (Raw explicit vectors
-//!   can differ in no-op trailing entries because of the quirk above.)
-//!   Effort counters and cache-hit classifications may differ —
-//!   speculation executes extra probes — which is why Fig. 2/Fig. 4
-//!   analysis should consume the probe trace ([`crate::trace`]).
-//! * The test budget (`max_tests`) is accounted in executed tests; with
-//!   speculation those include wasted probes, so budget-truncated runs
-//!   are only guaranteed reproducible at `jobs = 1`.
+//! Every case probes inline, one probe at a time, in its strategy's
+//! order. An executable-hash hit reports the unique-query count stored
+//! with the verdict (the seed driver's quirk), so the stored outcome of
+//! a decision vector depends on which vector first produced the
+//! executable. [`run_suite`] probes up to [`DriverOptions::jobs`] cases
+//! at once, each with its own memory tier. Cases share no keys, because
+//! every key is salted with the case, so `jobs = N` returns the same
+//! [`DriverResult`]s as `jobs = 1`: raw decisions, effort and output.
+//!
+//! A suite worker with no case left to start builds modules ahead for
+//! the cases still running (`BuildAhead`). A build does not depend on
+//! the decisions, so this only moves build latency off the probe path;
+//! the contract above is unchanged.
 //!
 //! # The probe sandbox (failure model)
 //!
@@ -91,9 +82,8 @@
 
 use crate::compile::{compile, CompileOptions, Scope};
 use crate::pass::{OptimismKind, OraqlStats, UniqueQuery};
-use crate::pool::{CancelToken, WorkerPool};
 use crate::sequence::Decisions;
-use crate::strategy::{ProbeOutcome, Prober, SpeculativeProbe, Strategy};
+use crate::strategy::{ProbeOutcome, Prober, Strategy};
 use crate::trace::{ProbeEvent, ProbeKind, TraceSink};
 use crate::verify::{Mismatch, Verifier};
 use oraql_faults::{FaultInjector, FaultSite, InjectedPanic};
@@ -107,8 +97,8 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::mpsc::channel;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A benchmark handed to the driver: how to build the program, where
@@ -161,9 +151,9 @@ pub struct DriverOptions {
     pub max_tests: u64,
     /// Record `-debug-pass=Executions` trace lines in the final compile.
     pub trace_passes: bool,
-    /// Probe concurrency. `1` (the default) probes inline in the
-    /// strategy's order; `N > 1` launches one speculative sibling per
-    /// blocking probe on an `N`-worker pool.
+    /// Cases [`run_suite`] probes at once (default 1). Each case probes
+    /// inline in its strategy's order at every job count; a slot with
+    /// no case left to start builds modules ahead for the running ones.
     pub jobs: usize,
     /// Probe-trace sink; every probe answer is recorded here.
     pub trace: Option<TraceSink>,
@@ -177,9 +167,9 @@ pub struct DriverOptions {
     /// `--store <path>`), the second verdict tier. `None` (the default)
     /// keeps verdicts in memory only. With a store attached, cold runs
     /// write every verdict through, and warm runs answer probes without
-    /// compiling at any job count: the `jobs = 1` probe order is a pure
-    /// function of the answered outcomes, so it replays identically
-    /// from stored (pass, unique) pairs.
+    /// compiling at any job count: the probe order is a pure function
+    /// of the answered outcomes, so it replays identically from stored
+    /// (pass, unique) pairs.
     pub store: Option<Arc<Store>>,
     /// Shared verdict-server client (CLI: `--server <addr>`), the
     /// third verdict tier. Every server error degrades to the local
@@ -248,18 +238,14 @@ pub struct ProbeEffort {
     /// Probes answered by the verdict server (either key space) after
     /// every local tier missed.
     pub tests_server: u64,
-    /// Speculative sibling probes launched on the worker pool.
+    /// The four `spec_*` counters are always 0: no probe is ever
+    /// speculative. Kept until the benchmark harness stops reading them.
     pub spec_launched: u64,
-    /// Speculative probes cancelled before their verdict was consumed
-    /// (the deduction rule or a passing parent made them unnecessary).
+    /// Always 0 (see [`ProbeEffort::spec_launched`]).
     pub spec_cancelled: u64,
-    /// Always 0: no probe is launched other than a sibling. Kept until
-    /// the benchmark harness stops reading it.
+    /// Always 0 (see [`ProbeEffort::spec_launched`]).
     pub spec_hints: u64,
-    /// Speculative probes that did real work (at least a compile)
-    /// *after* their waiter had already cancelled them — wasted effort,
-    /// traced as [`ProbeKind::Cancelled`]. Timing-dependent by nature,
-    /// so always 0 at `jobs = 1`.
+    /// Always 0 (see [`ProbeEffort::spec_launched`]).
     pub spec_wasted: u64,
 }
 
@@ -439,10 +425,8 @@ impl FailureStats {
     }
 }
 
-/// The in-memory verdict tier. One instance may back a whole suite run:
-/// both key spaces are salted with the case name, so entries from
-/// different benchmarks never collide even when their module text
-/// coincides (their verifier references may differ).
+/// The in-memory verdict tier, private to one case run and freed with
+/// it. Its keys carry the same case salt as the shared tiers' keys.
 #[derive(Debug, Default)]
 pub struct VerdictCaches {
     /// executable hash -> (verdict, unique query count)
@@ -456,16 +440,6 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl VerdictCaches {
-    /// Entries in the executable-hash cache.
-    pub fn exe_entries(&self) -> usize {
-        lock_ignore_poison(&self.exe).len()
-    }
-
-    /// Entries in the decisions-digest cache.
-    pub fn dec_entries(&self) -> usize {
-        lock_ignore_poison(&self.dec).len()
-    }
-
     fn space(&self, space: KeySpace) -> &Mutex<HashMap<u64, ProbeOutcome>> {
         match space {
             KeySpace::Dec => &self.dec,
@@ -613,9 +587,6 @@ struct DriverMetrics {
     server: &'static oraql_obs::Counter,
     deduced: &'static oraql_obs::Counter,
     faulted: &'static oraql_obs::Counter,
-    spec_launched: &'static oraql_obs::Counter,
-    spec_cancelled: &'static oraql_obs::Counter,
-    spec_wasted: &'static oraql_obs::Counter,
     retries: &'static oraql_obs::Counter,
     quarantined: &'static oraql_obs::Counter,
     /// Tier hits, indexed by `[TierRole][KeySpace]`.
@@ -641,9 +612,6 @@ fn dmetrics() -> &'static DriverMetrics {
             server: r.counter("oraql_driver_probe_server_total"),
             deduced: r.counter("oraql_driver_probe_deduced_total"),
             faulted: r.counter("oraql_driver_probe_faulted_total"),
-            spec_launched: r.counter("oraql_driver_speculation_launched_total"),
-            spec_cancelled: r.counter("oraql_driver_speculation_cancelled_total"),
-            spec_wasted: r.counter("oraql_driver_speculation_wasted_total"),
             retries: r.counter("oraql_driver_retries_total"),
             quarantined: r.counter("oraql_driver_quarantined_total"),
             funnel_hits: [
@@ -677,7 +645,7 @@ fn decisions_digest(salt: u64, d: &Decisions) -> u64 {
     h.finish()
 }
 
-/// Cache-key salt identifying one case within shared caches: a probe
+/// Cache-key salt identifying one case within the shared tiers: a probe
 /// verdict is only transferable between probes that agree on the case
 /// name *and* the accepted references — the verdict of a bit-identical
 /// module under a different verifier is a different fact.
@@ -691,11 +659,14 @@ fn case_salt(case: &TestCase, references: &[String]) -> u64 {
 }
 
 /// The probe execution engine: everything needed to answer one probe,
-/// shareable across the worker pool (`Sync`).
+/// shareable with a watchdog thread (`Sync`).
 struct ProbeEngine {
     case_name: String,
     salt: u64,
     build: Arc<dyn Fn() -> Module + Send + Sync>,
+    /// The suite's build-ahead slots and this case's index in them;
+    /// `None` outside [`run_suite`].
+    ahead: Option<(Arc<BuildAhead>, usize)>,
     scope: Scope,
     use_cfl: bool,
     optimism: OptimismKind,
@@ -704,9 +675,6 @@ struct ProbeEngine {
     /// The verdict funnel, fastest first: memory, then the store and
     /// the server when configured.
     tiers: Vec<Arc<dyn VerdictTier>>,
-    /// No worker pool: an executable hit reports the stored unique
-    /// count instead of the fresh one (see the module docs).
-    sequential: bool,
     effort: Mutex<ProbeEffort>,
     trace: Option<TraceSink>,
     trace_seq: AtomicU64,
@@ -764,19 +732,20 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl ProbeEngine {
+    /// The module for the next compile: one built ahead when ready,
+    /// otherwise a fresh build.
+    fn next_module(&self) -> Module {
+        self.ahead
+            .as_ref()
+            .and_then(|(ahead, i)| ahead.take(*i))
+            .unwrap_or_else(|| (self.build)())
+    }
+
     fn effort(&self) -> MutexGuard<'_, ProbeEffort> {
         lock_ignore_poison(&self.effort)
     }
 
-    fn trace_event(
-        &self,
-        digest: u64,
-        kind: ProbeKind,
-        pass: bool,
-        unique: u64,
-        speculative: bool,
-        started: Instant,
-    ) {
+    fn trace_event(&self, digest: u64, kind: ProbeKind, pass: bool, unique: u64, started: Instant) {
         let m = dmetrics();
         m.probes.inc();
         match kind {
@@ -787,7 +756,7 @@ impl ProbeEngine {
             ProbeKind::ServerHit => m.server.inc(),
             ProbeKind::Deduced => m.deduced.inc(),
             ProbeKind::Faulted => m.faulted.inc(),
-            ProbeKind::Cancelled => m.spec_wasted.inc(),
+            ProbeKind::Cancelled => {} // never emitted
         }
         m.probe_micros.observe(started.elapsed().as_micros() as u64);
         if let Some(sink) = &self.trace {
@@ -798,7 +767,6 @@ impl ProbeEngine {
                 kind,
                 pass,
                 unique,
-                speculative,
                 wall_micros: started.elapsed().as_micros() as u64,
             });
         }
@@ -806,16 +774,6 @@ impl ProbeEngine {
 
     fn failures(&self) -> MutexGuard<'_, FailureStats> {
         lock_ignore_poison(&self.failures)
-    }
-
-    /// Makes a cancelled-but-executed speculative probe visible: the
-    /// compile (and possibly the whole run) already happened, but no
-    /// waiter will consume the verdict. Counted in
-    /// [`ProbeEffort::spec_wasted`] and traced as
-    /// [`ProbeKind::Cancelled`] so `oraql trace` can report waste.
-    fn note_wasted(&self, digest: u64, pass: bool, unique: u64, started: Instant) {
-        self.effort().spec_wasted += 1;
-        self.trace_event(digest, ProbeKind::Cancelled, pass, unique, true, started);
     }
 
     /// Opens a child span under `parent` when span tracing is on.
@@ -861,26 +819,12 @@ impl ProbeEngine {
         }
     }
 
-    /// Answers one probe through the sandbox. Safe to call from any
-    /// thread; never panics and never blocks past the configured
-    /// deadline-per-attempt times the retry budget.
-    fn execute(self: &Arc<Self>, d: &Decisions, speculative: bool) -> ProbeOutcome {
-        // `None` can only mean "cancelled", which cannot happen without
-        // a token — but degrade to may-alias rather than trust that.
-        self.execute_sandboxed(d, speculative, None)
-            .unwrap_or(MAY_ALIAS)
-    }
-
-    /// The sandboxed probe path: quarantine short-circuit, then up to
-    /// `1 + retries` attempts, each under `catch_unwind` (plus a
-    /// watchdog thread when a deadline is configured). Returns `None`
-    /// only for a cancelled speculative probe.
-    fn execute_sandboxed(
-        self: &Arc<Self>,
-        d: &Decisions,
-        speculative: bool,
-        cancel: Option<&CancelToken>,
-    ) -> Option<ProbeOutcome> {
+    /// Answers one probe through the sandbox: quarantine short-circuit,
+    /// then up to `1 + retries` attempts, each under `catch_unwind`
+    /// (plus a watchdog thread when a deadline is configured). Never
+    /// panics and never blocks past the deadline-per-attempt times the
+    /// retry budget.
+    fn execute_sandboxed(self: &Arc<Self>, d: &Decisions) -> ProbeOutcome {
         let started = Instant::now();
         let digest = decisions_digest(self.salt, d);
         // The probe span covers the quarantine check, every retry, and
@@ -889,27 +833,21 @@ impl ProbeEngine {
         let probe_span = self.span("probe", self.case_span);
         let probe_id = probe_span.as_ref().map_or(0, Span::id);
         if lock_ignore_poison(&self.quarantine).contains(&digest) {
-            self.trace_event(digest, ProbeKind::Faulted, false, 0, speculative, started);
-            return Some(MAY_ALIAS);
+            self.trace_event(digest, ProbeKind::Faulted, false, 0, started);
+            return MAY_ALIAS;
         }
         let attempts = 1 + self.retries as u64;
         for attempt_no in 0..attempts {
             let fx = self.sample_attempt();
             let outcome = match self.deadline {
-                Some(deadline) => {
-                    self.attempt_with_deadline(d, speculative, cancel, fx, deadline, probe_id)
-                }
-                None => {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        self.attempt(d, speculative, cancel, fx, probe_id)
-                    })) {
-                        Ok(r) => r,
-                        Err(p) => Err(ProbeFailure::Panic(panic_message(&*p))),
-                    }
-                }
+                Some(deadline) => self.attempt_with_deadline(d, fx, deadline, probe_id),
+                None => match catch_unwind(AssertUnwindSafe(|| self.attempt(d, fx, probe_id))) {
+                    Ok(r) => r,
+                    Err(p) => Err(ProbeFailure::Panic(panic_message(&*p))),
+                },
             };
             match outcome {
-                Ok(answer) => return answer, // Some(verdict) or cancelled
+                Ok(answer) => return answer,
                 Err(failure) => {
                     self.note_failure(&failure);
                     if attempt_no + 1 < attempts {
@@ -929,8 +867,8 @@ impl ProbeEngine {
         lock_ignore_poison(&self.quarantine).insert(digest);
         self.failures().quarantined += 1;
         dmetrics().quarantined.inc();
-        self.trace_event(digest, ProbeKind::Faulted, false, 0, speculative, started);
-        Some(MAY_ALIAS)
+        self.trace_event(digest, ProbeKind::Faulted, false, 0, started);
+        MAY_ALIAS
     }
 
     /// Runs one attempt on a watchdog thread and gives up after
@@ -940,22 +878,17 @@ impl ProbeEngine {
     fn attempt_with_deadline(
         self: &Arc<Self>,
         d: &Decisions,
-        speculative: bool,
-        cancel: Option<&CancelToken>,
         fx: AttemptFaults,
         deadline: Duration,
         probe_span: u64,
-    ) -> Result<Option<ProbeOutcome>, ProbeFailure> {
+    ) -> Result<ProbeOutcome, ProbeFailure> {
         let (tx, rx) = channel();
         let engine = Arc::clone(self);
         let d = d.clone();
-        let token = cancel.cloned();
         let spawned = std::thread::Builder::new()
             .name("oraql-probe-attempt".into())
             .spawn(move || {
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    engine.attempt(&d, speculative, token.as_ref(), fx, probe_span)
-                }));
+                let r = catch_unwind(AssertUnwindSafe(|| engine.attempt(&d, fx, probe_span)));
                 let _ = tx.send(r);
             });
         if spawned.is_err() {
@@ -1026,28 +959,18 @@ impl ProbeEngine {
     /// One raw probe attempt: the tiers by decisions digest, a compile,
     /// the tiers by executable hash, then an actual execution — with
     /// `fx`'s faults injected at their sites. The answered outcome is
-    /// filed under its decisions digest in every tier. `Ok(None)` means
-    /// the advisory cancel token fired: a cancelled speculative probe
-    /// stops between the compile and the (usually much more expensive)
-    /// test execution without recording a probe answer. The waiter
-    /// recomputes inline in that case, so verdicts are never lost —
-    /// only wasted work is.
+    /// filed under its decisions digest in every tier.
     fn attempt(
         &self,
         d: &Decisions,
-        speculative: bool,
-        cancel: Option<&CancelToken>,
         fx: AttemptFaults,
         probe_span: u64,
-    ) -> Result<Option<ProbeOutcome>, ProbeFailure> {
+    ) -> Result<ProbeOutcome, ProbeFailure> {
         let started = Instant::now();
         let digest = decisions_digest(self.salt, d);
         if let Some((kind, o)) = self.lookup(KeySpace::Dec, digest, &fx, probe_span) {
-            self.trace_event(digest, kind, o.pass, o.unique, speculative, started);
-            return Ok(Some(o));
-        }
-        if cancel.is_some_and(|t| t.is_cancelled()) {
-            return Ok(None);
+            self.trace_event(digest, kind, o.pass, o.unique, started);
+            return Ok(o);
         }
         if fx.compile_panic {
             std::panic::panic_any(InjectedPanic("probe pass-pipeline compile"));
@@ -1057,7 +980,7 @@ impl ProbeEngine {
         let compiled = {
             let _s = self.span("compile", probe_span);
             compile(
-                &*self.build,
+                &|| self.next_module(),
                 &CompileOptions {
                     oraql: Some((d.clone(), self.scope.clone())),
                     use_cfl: self.use_cfl,
@@ -1072,35 +995,18 @@ impl ProbeEngine {
             m.compile_micros
                 .observe(compile_started.elapsed().as_micros() as u64);
         }
-        let unique = compiled
-            .oraql
-            .as_ref()
-            .map(|s| s.lock().stats.unique())
-            .unwrap_or(0);
         let h = module_text_hash(self.salt, &oraql_ir::printer::module_str(&compiled.module));
+        // A hit reports the unique count stored with the verdict, not
+        // the fresh one (the seed driver's quirk, see the module docs).
         let (kind, outcome) = match self.lookup(KeySpace::Exe, h, &fx, probe_span) {
-            // Without a pool the hit reports the unique count stored
-            // with the verdict (the seed driver's quirk); with one, the
-            // fresh count keeps every outcome a pure function of the
-            // decision vector, whatever order the cache was filled in.
-            Some((kind, hit)) => (
-                kind,
-                ProbeOutcome {
-                    pass: hit.pass,
-                    unique: if self.sequential { hit.unique } else { unique },
-                },
-            ),
+            Some(hit) => hit,
             None => {
-                if cancel.is_some_and(|t| t.is_cancelled()) {
-                    // The compile is already spent: record the waste
-                    // before abandoning the probe, so it shows in the
-                    // trace and the effort counters.
-                    self.note_wasted(digest, false, unique, started);
-                    return Ok(None);
-                }
                 let o = ProbeOutcome {
                     pass: self.run_and_verify(&compiled.module, fx, probe_span)?,
-                    unique,
+                    unique: compiled
+                        .oraql
+                        .as_ref()
+                        .map_or(0, |s| s.lock().stats.unique()),
                 };
                 for t in &self.tiers {
                     t.put(KeySpace::Exe, h, o);
@@ -1111,15 +1017,8 @@ impl ProbeEngine {
         for t in &self.tiers {
             t.put(KeySpace::Dec, digest, outcome);
         }
-        self.trace_event(
-            digest,
-            kind,
-            outcome.pass,
-            outcome.unique,
-            speculative,
-            started,
-        );
-        Ok(Some(outcome))
+        self.trace_event(digest, kind, outcome.pass, outcome.unique, started);
+        Ok(outcome)
     }
 
     /// Runs a compiled probe on the VM and verifies its output, with
@@ -1183,41 +1082,29 @@ impl ProbeEngine {
     }
 }
 
-/// A speculative probe in flight on the worker pool.
-struct PendingProbe {
-    rx: Receiver<ProbeOutcome>,
-    token: CancelToken,
-}
-
 /// The probing driver.
 pub struct Driver {
     opts: DriverOptions,
     engine: Arc<ProbeEngine>,
-    pool: Option<Arc<WorkerPool>>,
-    pending: HashMap<u64, PendingProbe>,
-    next_ticket: u64,
 }
 
 impl Driver {
-    /// Runs the full workflow on one case with private caches; a
-    /// private worker pool is created when `opts.jobs > 1`.
+    /// Runs the full workflow on one case.
     pub fn run(case: &TestCase, opts: DriverOptions) -> Result<DriverResult, DriverError> {
-        let pool = (opts.jobs > 1).then(|| Arc::new(WorkerPool::new(opts.jobs)));
-        Self::run_shared(case, opts, Arc::new(VerdictCaches::default()), pool)
+        Self::run_with(case, opts, None)
     }
 
     /// A ready-to-probe driver whose probes are verified against
-    /// `references`. The tier list is memory, then the options' store
-    /// and server; `pool` decides whether probes speculate.
+    /// `references`. The tier list is a fresh memory tier, then the
+    /// options' store and server.
     fn new(
         case: &TestCase,
         opts: DriverOptions,
-        caches: Arc<VerdictCaches>,
-        pool: Option<Arc<WorkerPool>>,
+        ahead: Option<(Arc<BuildAhead>, usize)>,
         references: Vec<String>,
         case_span: u64,
     ) -> Self {
-        let mut tiers: Vec<Arc<dyn VerdictTier>> = vec![caches];
+        let mut tiers: Vec<Arc<dyn VerdictTier>> = vec![Arc::new(VerdictCaches::default())];
         if let Some(store) = &opts.store {
             tiers.push(Arc::clone(store) as Arc<dyn VerdictTier>);
         }
@@ -1228,13 +1115,13 @@ impl Driver {
             case_name: case.name.clone(),
             salt: case_salt(case, &references),
             build: Arc::clone(&case.build),
+            ahead,
             scope: case.scope.clone(),
             use_cfl: case.use_cfl,
             optimism: case.optimism,
             fuel: case.fuel,
             verifier: Verifier::new(references, &case.ignore_patterns),
             tiers,
-            sequential: pool.is_none(),
             effort: Mutex::new(ProbeEffort::default()),
             trace: opts.trace.clone(),
             trace_seq: AtomicU64::new(0),
@@ -1246,22 +1133,15 @@ impl Driver {
             failures: Mutex::new(FailureStats::default()),
             quarantine: Mutex::new(HashSet::new()),
         });
-        Driver {
-            opts,
-            engine,
-            pool,
-            pending: HashMap::new(),
-            next_ticket: 0,
-        }
+        Driver { opts, engine }
     }
 
-    /// [`Driver::run`] against caller-provided caches and worker pool,
-    /// so a suite run shares both across benchmarks.
-    pub fn run_shared(
+    /// [`Driver::run`], taking modules built ahead by idle suite
+    /// workers when `ahead` is set.
+    fn run_with(
         case: &TestCase,
         opts: DriverOptions,
-        caches: Arc<VerdictCaches>,
-        pool: Option<Arc<WorkerPool>>,
+        ahead: Option<(Arc<BuildAhead>, usize)>,
     ) -> Result<DriverResult, DriverError> {
         // The case span covers the whole workflow; the guards record on
         // every exit path, including `?` errors.
@@ -1294,7 +1174,7 @@ impl Driver {
             // an unreachable server degrades to the local store.
             let _ = server.put_refs(salt, &references);
         }
-        let mut driver = Driver::new(case, opts, caches, pool, references, case_id);
+        let mut driver = Driver::new(case, opts, ahead, references, case_id);
         driver
             .engine
             .verifier
@@ -1322,8 +1202,10 @@ impl Driver {
             optimism: case.optimism,
             ..CompileOptions::default()
         };
-        let finalc = catch_unwind(AssertUnwindSafe(|| compile(&*case.build, &final_opts)))
-            .map_err(|p| DriverError::CasePanicked(panic_message(&*p)))?;
+        let finalc = catch_unwind(AssertUnwindSafe(|| {
+            compile(&|| driver.engine.next_module(), &final_opts)
+        }))
+        .map_err(|p| DriverError::CasePanicked(panic_message(&*p)))?;
         let final_run = run_module(&finalc.module, case.fuel, None)
             .map_err(|e| DriverError::FinalBroken(Mismatch::ExecutionFailed(e)))?;
         driver
@@ -1404,7 +1286,7 @@ fn run_module(m: &Module, fuel: u64, fault: Option<VmFault>) -> Result<RunOutcom
 
 impl Prober for Driver {
     fn probe(&mut self, d: &Decisions) -> ProbeOutcome {
-        self.engine.execute(d, false)
+        self.engine.execute_sandboxed(d)
     }
 
     fn budget_exceeded(&self) -> bool {
@@ -1423,120 +1305,40 @@ impl Prober for Driver {
     fn note_deduced(&mut self) {
         self.engine.effort().tests_deduced += 1;
         self.engine
-            .trace_event(0, ProbeKind::Deduced, false, 0, false, Instant::now());
-    }
-
-    fn probe_speculative(&mut self, d: &Decisions) -> SpeculativeProbe {
-        let deferred = SpeculativeProbe {
-            decisions: d.clone(),
-            ticket: None,
-        };
-        let Some(pool) = &self.pool else {
-            // No pool: defer — the probe runs inline at the wait site,
-            // in the strategy's sequential order.
-            return deferred;
-        };
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        let (tx, rx) = channel();
-        let token = CancelToken::default();
-        let engine = Arc::clone(&self.engine);
-        let decisions = d.clone();
-        let job_token = token.clone();
-        // Pre-sample the poison decision on the submitting thread so the
-        // deterministic fault stream is independent of worker timing.
-        let poison = self
-            .opts
-            .faults
-            .as_ref()
-            .is_some_and(|inj| inj.fire(FaultSite::WorkerPoison));
-        let submitted = pool.submit(move || {
-            if poison {
-                // The worker dies before touching the probe; the pool
-                // respawns a replacement, and the waiter observes the
-                // dropped channel and recomputes inline.
-                std::panic::panic_any(InjectedPanic("poisoned pool worker"));
-            }
-            if job_token.is_cancelled() {
-                return;
-            }
-            let job_started = Instant::now();
-            if let Some(o) = engine.execute_sandboxed(&decisions, true, Some(&job_token)) {
-                if tx.send(o).is_err() {
-                    // The waiter cancelled after this job was already
-                    // dequeued: the probe ran to completion but nobody
-                    // consumes its verdict — record the wasted work.
-                    engine.note_wasted(
-                        decisions_digest(engine.salt, &decisions),
-                        o.pass,
-                        o.unique,
-                        job_started,
-                    );
-                }
-            }
-        });
-        if submitted.is_err() {
-            // The pool is already shut down (a suite teardown race):
-            // fall back to the deferred-inline flow rather than panic.
-            return deferred;
-        }
-        self.engine.effort().spec_launched += 1;
-        dmetrics().spec_launched.inc();
-        self.pending.insert(ticket, PendingProbe { rx, token });
-        SpeculativeProbe {
-            decisions: d.clone(),
-            ticket: Some(ticket),
-        }
-    }
-
-    fn wait_probe(&mut self, h: SpeculativeProbe) -> ProbeOutcome {
-        match h.ticket.and_then(|t| self.pending.remove(&t)) {
-            Some(p) => match p.rx.recv() {
-                Ok(o) => o,
-                // The job observed a (stale) cancellation or the pool is
-                // shutting down; recompute inline — the caches make this
-                // cheap if the work already happened.
-                Err(_) => self.engine.execute(&h.decisions, false),
-            },
-            None => self.engine.execute(&h.decisions, false),
-        }
-    }
-
-    fn cancel_probe(&mut self, h: SpeculativeProbe) {
-        if let Some(p) = h.ticket.and_then(|t| self.pending.remove(&t)) {
-            p.token.cancel();
-            self.engine.effort().spec_cancelled += 1;
-            dmetrics().spec_cancelled.inc();
-        }
+            .trace_event(0, ProbeKind::Deduced, false, 0, Instant::now());
     }
 }
 
-/// Runs a suite under a global probe-concurrency budget: at most
-/// `opts.jobs` cases probe at any moment, all sharing one
-/// [`VerdictCaches`] and, when `jobs > 1`, one [`WorkerPool`] for
-/// speculative siblings. With `jobs = 1` the cases run strictly one
-/// after another in input order. Results are in input order.
+/// Runs a suite with at most `opts.jobs` cases probing at any moment.
+/// With `jobs = 1` the cases run strictly one after another in input
+/// order. A worker with no case left to start builds modules ahead for
+/// the cases still running (see [`BuildAhead`]). Results are in input
+/// order and equal at every job count (see the module docs).
 pub fn run_suite(
     cases: &[TestCase],
     opts: &DriverOptions,
 ) -> Vec<Result<DriverResult, DriverError>> {
-    let caches = Arc::new(VerdictCaches::default());
-    let pool = (opts.jobs > 1).then(|| Arc::new(WorkerPool::new(opts.jobs)));
+    let ahead = Arc::new(BuildAhead::new(cases.len(), opts.jobs.saturating_sub(1)));
     let next = AtomicUsize::new(0);
     let results: Vec<Mutex<Option<Result<DriverResult, DriverError>>>> =
         (0..cases.len()).map(|_| Mutex::new(None)).collect();
-    let work = || loop {
-        let i = next.fetch_add(1, Ordering::SeqCst);
-        if i >= cases.len() {
-            break;
+    let work = || {
+        loop {
+            let i = next.fetch_add(1, Ordering::SeqCst);
+            if i >= cases.len() {
+                break;
+            }
+            ahead.set(i, CaseState::Running);
+            // One panicking case must not take its worker (and the cases
+            // it would have claimed next) with it.
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                Driver::run_with(&cases[i], opts.clone(), Some((Arc::clone(&ahead), i)))
+            }))
+            .unwrap_or_else(|p| Err(DriverError::CasePanicked(panic_message(&*p))));
+            ahead.set(i, CaseState::Done);
+            *lock_ignore_poison(&results[i]) = Some(r);
         }
-        // One panicking case must not take its worker (and the cases it
-        // would have claimed next) with it.
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            Driver::run_shared(&cases[i], opts.clone(), Arc::clone(&caches), pool.clone())
-        }))
-        .unwrap_or_else(|p| Err(DriverError::CasePanicked(panic_message(&*p))));
-        *lock_ignore_poison(&results[i]) = Some(r);
+        ahead.help(cases);
     };
     // The calling thread is one of the case workers.
     std::thread::scope(|s| {
@@ -1553,6 +1355,101 @@ pub fn run_suite(
                 .unwrap_or_else(|| Err(DriverError::Internal("case result missing".into())))
         })
         .collect()
+}
+
+/// Modules built ahead of the running cases' next compiles by
+/// [`run_suite`] workers that have no case left to start.
+///
+/// A build does not depend on the decisions, so a module built ahead
+/// compiles exactly like one built inline: probe order, effort and
+/// results do not change. What changes is wall clock once job slots sit
+/// idle: build latency (the paper's external compiler, or any slow
+/// build closure) overlaps with the running case's compiles and runs.
+/// Each case holds at most `cap = jobs - 1` modules ready or in flight,
+/// so `jobs = 1` never builds ahead, and a case that finishes drops at
+/// most `cap` unused modules.
+struct BuildAhead {
+    slots: Mutex<Vec<AheadSlot>>,
+    changed: Condvar,
+    cap: usize,
+}
+
+#[derive(Default)]
+struct AheadSlot {
+    state: CaseState,
+    ready: Vec<Module>,
+    building: usize,
+}
+
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum CaseState {
+    #[default]
+    Waiting,
+    Running,
+    Done,
+}
+
+impl BuildAhead {
+    fn new(cases: usize, cap: usize) -> Self {
+        BuildAhead {
+            slots: Mutex::new((0..cases).map(|_| AheadSlot::default()).collect()),
+            changed: Condvar::new(),
+            cap,
+        }
+    }
+
+    /// Moves case `i` to `state`; a finished case drops what it did not
+    /// use.
+    fn set(&self, i: usize, state: CaseState) {
+        let mut slots = lock_ignore_poison(&self.slots);
+        slots[i].state = state;
+        if state == CaseState::Done {
+            slots[i].ready.clear();
+        }
+        self.changed.notify_all();
+    }
+
+    /// A module built ahead for case `i`, if one is ready.
+    fn take(&self, i: usize) -> Option<Module> {
+        let m = lock_ignore_poison(&self.slots)[i].ready.pop();
+        if m.is_some() {
+            self.changed.notify_all();
+        }
+        m
+    }
+
+    /// Builds ahead for the running case with the fewest modules ready
+    /// or in flight until every case is done.
+    fn help(&self, cases: &[TestCase]) {
+        let mut slots = lock_ignore_poison(&self.slots);
+        loop {
+            let pick = slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| {
+                    s.state == CaseState::Running && s.ready.len() + s.building < self.cap
+                })
+                .min_by_key(|(_, s)| s.ready.len() + s.building)
+                .map(|(i, _)| i);
+            let Some(i) = pick else {
+                if slots.iter().all(|s| s.state == CaseState::Done) {
+                    return;
+                }
+                slots = self.changed.wait(slots).unwrap_or_else(|p| p.into_inner());
+                continue;
+            };
+            slots[i].building += 1;
+            drop(slots);
+            // A panicking build is left to the case's own sandboxed
+            // build, which reports it.
+            let built = catch_unwind(AssertUnwindSafe(|| (cases[i].build)())).ok();
+            slots = lock_ignore_poison(&self.slots);
+            slots[i].building -= 1;
+            if let Some(m) = built.filter(|_| slots[i].state == CaseState::Running) {
+                slots[i].ready.push(m);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1692,80 +1589,73 @@ mod tests {
 
     #[test]
     fn parallel_driver_matches_sequential_decisions() {
-        for strategy in [Strategy::Chunked, Strategy::FrequencySpace] {
-            let case = mixed_case(4, 2, 2);
-            let seq = Driver::run(
-                &case,
-                DriverOptions {
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let par = Driver::run(
-                &case,
-                DriverOptions {
-                    strategy,
-                    jobs: 4,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(seq.decisions, par.decisions, "{strategy:?}");
-            assert_eq!(seq.fully_optimistic, par.fully_optimistic);
-            assert_eq!(seq.final_run.stdout, par.final_run.stdout);
-            assert!(par.effort.spec_launched > 0, "speculation should engage");
-        }
-    }
-
-    #[test]
-    fn shared_verdict_cache_hit_under_concurrency() {
-        // Inert pairs make many decision vectors compile bit-identically,
-        // so concurrent probes must land in the shared executable cache.
-        let case = mixed_case(3, 2, 5);
-        let caches = Arc::new(VerdictCaches::default());
-        let pool = Arc::new(WorkerPool::new(4));
-        let r = Driver::run_shared(
-            &case,
-            DriverOptions {
-                jobs: 4,
-                ..Default::default()
-            },
-            Arc::clone(&caches),
-            Some(pool),
-        )
-        .unwrap();
-        assert!(!r.fully_optimistic);
-        assert!(
-            r.effort.tests_cached > 0,
-            "expected shared-cache hits: {:?}",
-            r.effort
-        );
-        assert!(caches.exe_entries() > 0);
-        assert!(caches.dec_entries() > 0);
-    }
-
-    #[test]
-    fn run_suite_sequential_equals_bounded_parallel() {
         let cases = vec![
             mixed_case(2, 0, 0),
             mixed_case(3, 1, 0),
             mixed_case(2, 1, 2),
+            mixed_case(4, 2, 2),
         ];
-        let seq = run_suite(&cases, &DriverOptions::default());
-        let par = run_suite(
-            &cases,
-            &DriverOptions {
-                jobs: 3,
-                ..Default::default()
-            },
-        );
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(par.iter()) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.decisions, b.decisions);
-            assert_eq!(a.final_run.stdout, b.final_run.stdout);
+        for strategy in [Strategy::Chunked, Strategy::FrequencySpace] {
+            let run = |jobs| {
+                let opts = DriverOptions {
+                    strategy,
+                    jobs,
+                    ..Default::default()
+                };
+                run_suite(&cases, &opts)
+            };
+            let seq = run(1);
+            let par = run(4);
+            assert_eq!(seq.len(), par.len());
+            for (a, b) in seq.iter().zip(par.iter()) {
+                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+                assert_eq!(a.decisions, b.decisions, "{strategy:?}");
+                assert_eq!(a.effort, b.effort, "{strategy:?}");
+                assert_eq!(a.final_run.stdout, b.final_run.stdout, "{strategy:?}");
+            }
         }
+    }
+
+    #[test]
+    fn memory_tier_answers_bit_identical_recompiles() {
+        // Inert pairs make many decision vectors compile bit-identically,
+        // so probes must land in the executable cache.
+        let case = mixed_case(3, 2, 5);
+        let r = Driver::run(&case, DriverOptions::default()).unwrap();
+        assert!(!r.fully_optimistic);
+        assert!(
+            r.effort.tests_cached > 0,
+            "expected executable-cache hits: {:?}",
+            r.effort
+        );
+    }
+
+    #[test]
+    fn idle_workers_build_ahead_for_running_cases() {
+        let builds = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&builds);
+        let case = TestCase::new("ahead", move || {
+            counted.fetch_add(1, Ordering::SeqCst);
+            build_mixed(2, 1, 0)
+        });
+        let fresh = oraql_ir::printer::module_str(&build_mixed(2, 1, 0));
+        let ahead = BuildAhead::new(1, 2);
+        ahead.set(0, CaseState::Running);
+        std::thread::scope(|s| {
+            s.spawn(|| ahead.help(std::slice::from_ref(&case)));
+            let m = loop {
+                match ahead.take(0) {
+                    Some(m) => break m,
+                    None => std::thread::yield_now(),
+                }
+            };
+            assert_eq!(oraql_ir::printer::module_str(&m), fresh);
+            // The helper returns once the case is done.
+            ahead.set(0, CaseState::Done);
+        });
+        // One module taken, at most `cap` more ready or in flight.
+        let n = builds.load(Ordering::SeqCst);
+        assert!((1..=3).contains(&n), "{n} builds");
     }
 
     #[test]
@@ -1796,7 +1686,7 @@ mod tests {
         assert_eq!(executed, r.effort.tests_run);
         assert_eq!(cached, r.effort.tests_cached);
         assert_eq!(deduced, r.effort.tests_deduced);
-        // Sequential mode: per-case sequence numbers are contiguous.
+        // Per-case sequence numbers are contiguous.
         let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         seqs.sort_unstable();
         assert_eq!(seqs, (0..events.len() as u64).collect::<Vec<_>>());
@@ -1884,84 +1774,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn poisoned_workers_do_not_lose_verdicts() {
-        let case = mixed_case(4, 2, 2);
-        let seq = Driver::run(&case, DriverOptions::default()).unwrap();
-        let plan = FaultPlan::quiet(11).with_rate(FaultSite::WorkerPoison, Rate::new(1, 3));
-        let mut opts = chaos_opts(plan);
-        opts.jobs = 4;
-        let chaotic = Driver::run(&case, opts).unwrap();
-        // A poisoned worker drops its result channel; the waiter
-        // recomputes inline, so decisions and output are unchanged.
-        assert_eq!(seq.decisions, chaotic.decisions);
-        assert_eq!(seq.final_run.stdout, chaotic.final_run.stdout);
-    }
-
-    // --- speculation and the verdict-tier loop ------------------------
+    // --- the verdict-tier loop ----------------------------------------
 
     /// Builds a ready-to-probe driver without running the workflow, so
     /// tests can exercise the [`Prober`] interface and the tier loop
     /// directly.
-    fn test_driver(
-        case: &TestCase,
-        opts: DriverOptions,
-        caches: Arc<VerdictCaches>,
-        pool: Option<Arc<WorkerPool>>,
-    ) -> Driver {
+    fn test_driver(case: &TestCase, opts: DriverOptions, caches: Arc<VerdictCaches>) -> Driver {
         let baseline = compile(&*case.build, &CompileOptions::baseline());
         let references = vec![
             run_module(&baseline.module, case.fuel, None)
                 .unwrap()
                 .stdout,
         ];
-        Driver::new(case, opts, caches, pool, references, 0)
-    }
-
-    #[test]
-    fn cancelled_after_dequeue_reports_wasted_work() {
-        let case = mixed_case(2, 1, 0);
-        let sink = TraceSink::in_memory();
-        // An always-on probe hang (25 ms without a deadline) holds the
-        // worker between its post-compile cancel checkpoint and the
-        // verdict send, so the cancel below reliably lands after the
-        // compile was already spent.
-        let plan = FaultPlan::quiet(3).with_rate(FaultSite::ProbeHang, Rate::always());
-        let opts = DriverOptions {
-            jobs: 2,
-            trace: Some(sink.clone()),
-            faults: Some(Arc::new(FaultInjector::new(plan))),
-            ..Default::default()
-        };
-        let mut d = test_driver(&case, opts, Arc::new(VerdictCaches::default()), {
-            Some(Arc::new(WorkerPool::new(1)))
-        });
-        let h = d.probe_speculative(&Decisions::Explicit {
-            seq: vec![false],
-            tail: true,
-        });
-        assert!(h.ticket.is_some(), "speculation should launch");
-        // Wait until the worker is past the compile, then cancel.
-        while d.engine.effort().compiles == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        d.cancel_probe(h);
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while d.engine.effort().spec_wasted == 0 {
-            assert!(
-                Instant::now() < deadline,
-                "cancelled-but-executed probe never reported waste: {:?}",
-                d.engine.effort()
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(d.engine.effort().spec_cancelled, 1);
-        assert!(
-            sink.events()
-                .iter()
-                .any(|e| e.kind == ProbeKind::Cancelled && e.speculative),
-            "waste must be visible in the trace"
-        );
+        let mut d = Driver::new(case, opts, None, references, 0);
+        Arc::get_mut(&mut d.engine)
+            .expect("fresh engine is unshared")
+            .tiers[0] = caches;
+        d
     }
 
     /// A scripted verdict tier: serves what it holds (or fails every
@@ -2015,7 +1844,7 @@ mod tests {
         }
     }
 
-    /// A sequential test driver whose funnel is memory followed by
+    /// A test driver whose funnel is memory followed by
     /// `slower`, plus the memory tier for inspection.
     fn tiered_driver(
         case: &TestCase,
@@ -2023,7 +1852,7 @@ mod tests {
         slower: Vec<Arc<dyn VerdictTier>>,
     ) -> (Driver, Arc<VerdictCaches>) {
         let memory = Arc::new(VerdictCaches::default());
-        let mut d = test_driver(case, opts, Arc::clone(&memory), None);
+        let mut d = test_driver(case, opts, Arc::clone(&memory));
         let engine = Arc::get_mut(&mut d.engine).expect("fresh engine is unshared");
         engine.tiers.extend(slower);
         (d, memory)
@@ -2082,8 +1911,8 @@ mod tests {
             DriverOptions::default(),
             vec![store.clone(), server.clone()],
         );
-        // Sequential: the answer carries the stored unique count.
-        assert_eq!(d.engine.execute(&probe, false), HIT);
+        // The answer carries the stored unique count.
+        assert_eq!(d.engine.execute_sandboxed(&probe), HIT);
         let e = *d.engine.effort();
         assert_eq!((e.compiles, e.tests_run, e.tests_cached), (1, 0, 1));
         assert_eq!(
@@ -2091,7 +1920,8 @@ mod tests {
             vec![(KeySpace::Exe, h, HIT), (KeySpace::Dec, digest, HIT)]
         );
         assert_eq!(store.puts(), vec![(KeySpace::Dec, digest, HIT)]);
-        assert_eq!((memory.exe_entries(), memory.dec_entries()), (1, 1));
+        let entries = |space| lock_ignore_poison(memory.space(space)).len();
+        assert_eq!((entries(KeySpace::Exe), entries(KeySpace::Dec)), (1, 1));
     }
 
     #[test]
@@ -2106,11 +1936,11 @@ mod tests {
         let mut opts = chaos_opts(plan);
         opts.store = Some(Arc::clone(&store));
         let memory = Arc::new(VerdictCaches::default());
-        let d = test_driver(&case, opts, Arc::clone(&memory), None);
+        let d = test_driver(&case, opts, Arc::clone(&memory));
         // Plant a rotten verdict (a pass the probe would never earn).
         let digest = decisions_digest(d.engine.salt, &probe);
         store.record_dec(digest, true, 999).unwrap();
-        let o = d.engine.execute(&probe, false);
+        let o = d.engine.execute_sandboxed(&probe);
         assert!(!o.pass, "the rotten pass must not be answered");
         let (e, f) = (*d.engine.effort(), *d.engine.failures());
         assert_eq!((e.compiles, e.tests_run), (1, 1), "{e:?}");
@@ -2130,7 +1960,7 @@ mod tests {
         ] {
             let server = FakeTier::new(TierRole::Server, Some(failure));
             let (d, _) = tiered_driver(&case, DriverOptions::default(), vec![server.clone()]);
-            assert!(!d.engine.execute(&probe, false).pass);
+            assert!(!d.engine.execute_sandboxed(&probe).pass);
             let (e, f) = (*d.engine.effort(), *d.engine.failures());
             assert_eq!((e.compiles, e.tests_run), (1, 1), "{e:?}");
             // One failed lookup per key space, then the computed

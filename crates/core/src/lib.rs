@@ -18,9 +18,10 @@
 //!   full-optimism fast path, recursive bisection with the *chunked*
 //!   and *frequency-space* strategies ([`strategy`]), one verdict-tier
 //!   loop (memory, store, server; each keyed by decisions digest and
-//!   executable hash) and the Fig. 2 deduction rule. With `jobs > 1`
-//!   one speculative sibling per blocking probe runs on a bounded
-//!   worker pool ([`pool`]); `jobs = 1` probes inline.
+//!   executable hash) and the Fig. 2 deduction rule. Each case probes
+//!   inline in its strategy's order; [`run_suite`] probes up to `jobs`
+//!   cases at once, and an idle slot builds modules ahead for the
+//!   running cases.
 //! * [`trace`] — probe-trace observability: a JSONL event stream
 //!   recording how every probe was answered (executed / cached /
 //!   store / deduced), consumed by [`report`] summaries.
@@ -55,7 +56,6 @@ pub mod compile;
 pub mod config;
 pub mod driver;
 pub mod pass;
-pub mod pool;
 pub mod report;
 pub mod sequence;
 pub mod strategy;
@@ -76,7 +76,6 @@ pub use driver::{
 pub use oraql_faults::{FaultInjector, FaultPlan, FaultSite, InjectedPanic};
 pub use oraql_store::{StatsSnapshot, Store, StoreError, StoreStats};
 pub use pass::{OraqlAA, OraqlShared, OraqlStats};
-pub use pool::{CancelToken, SubmitError, WorkerPool};
 pub use sequence::Decisions;
 pub use strategy::Strategy;
 pub use trace::{read_trace, ProbeEvent, ProbeKind, TraceSink};

@@ -166,11 +166,6 @@ pub struct TraceSummary {
     pub deduced: u64,
     /// Probes that failed in the sandbox and degraded to may-alias.
     pub faulted: u64,
-    /// Speculative probes cancelled after their compile already ran:
-    /// pure waste, work the scheduler paid for and threw away.
-    pub cancelled: u64,
-    /// Probes launched speculatively for a bisection sibling.
-    pub speculative: u64,
     /// Passing verdicts.
     pub passes: u64,
     /// Total wall time spent answering, in microseconds.
@@ -190,10 +185,7 @@ impl TraceSummary {
             ProbeKind::ServerHit => self.server_hits += 1,
             ProbeKind::Deduced => self.deduced += 1,
             ProbeKind::Faulted => self.faulted += 1,
-            ProbeKind::Cancelled => self.cancelled += 1,
-        }
-        if e.speculative {
-            self.speculative += 1;
+            ProbeKind::Cancelled => {} // never emitted
         }
         if e.pass {
             self.passes += 1;
@@ -227,7 +219,7 @@ pub fn render_trace_summary(events: &[ProbeEvent]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{:<24} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>8} {:>8} {:>7} {:>6} {:>10}",
+        "{:<24} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>8} {:>8} {:>10}",
         "case",
         "probes",
         "executed",
@@ -237,15 +229,13 @@ pub fn render_trace_summary(events: &[ProbeEvent]) -> String {
         "server",
         "deduced",
         "faulted",
-        "wasted",
-        "spec",
         "wall(ms)"
     );
     let per_case = summarize_trace_by_case(events);
     for (name, t) in &per_case {
         let _ = writeln!(
             s,
-            "{:<24} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>8} {:>8} {:>7} {:>6} {:>10.1}",
+            "{:<24} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>8} {:>8} {:>10.1}",
             name,
             t.probes,
             t.executed,
@@ -255,8 +245,6 @@ pub fn render_trace_summary(events: &[ProbeEvent]) -> String {
             t.server_hits,
             t.deduced,
             t.faulted,
-            t.cancelled,
-            t.speculative,
             t.wall_micros as f64 / 1000.0
         );
     }
@@ -264,7 +252,7 @@ pub fn render_trace_summary(events: &[ProbeEvent]) -> String {
         let t = summarize_trace(events);
         let _ = writeln!(
             s,
-            "{:<24} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>8} {:>8} {:>7} {:>6} {:>10.1}",
+            "{:<24} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>8} {:>8} {:>10.1}",
             "TOTAL",
             t.probes,
             t.executed,
@@ -274,8 +262,6 @@ pub fn render_trace_summary(events: &[ProbeEvent]) -> String {
             t.server_hits,
             t.deduced,
             t.faulted,
-            t.cancelled,
-            t.speculative,
             t.wall_micros as f64 / 1000.0
         );
     }
@@ -400,7 +386,6 @@ mod tests {
             kind,
             pass,
             unique: 9,
-            speculative: kind == ProbeKind::ExeCacheHit,
             wall_micros: 500,
         }
     }
@@ -415,10 +400,9 @@ mod tests {
             trace_event("b", ProbeKind::StoreHit, true),
             trace_event("b", ProbeKind::ServerHit, true),
             trace_event("b", ProbeKind::Faulted, false),
-            trace_event("b", ProbeKind::Cancelled, false),
         ];
         let t = summarize_trace(&events);
-        assert_eq!(t.probes, 8);
+        assert_eq!(t.probes, 7);
         assert_eq!(t.executed, 1);
         assert_eq!(t.exe_cache_hits, 1);
         assert_eq!(t.dec_cache_hits, 1);
@@ -426,8 +410,6 @@ mod tests {
         assert_eq!(t.server_hits, 1);
         assert_eq!(t.deduced, 1);
         assert_eq!(t.faulted, 1);
-        assert_eq!(t.cancelled, 1);
-        assert_eq!(t.speculative, 1);
         assert_eq!(t.passes, 4);
         assert_eq!(t.max_unique, 9);
         let per_case = summarize_trace_by_case(&events);

@@ -14,30 +14,12 @@
 //! contain a dangerous query and one sibling proves clean, the other
 //! sibling's failing test is deduced rather than run.
 //!
-//! # Speculative sibling probes
+//! # Probe order
 //!
-//! Each bisection step probes a parent configuration and then — unless
-//! the parent answer makes it unnecessary — one or both siblings of the
-//! split. Those sibling probes do not depend on the parent's *outcome*,
-//! only on its decision vector, so a parallel prober can start them
-//! before the parent answer is known. The strategies express this with
-//! [`Prober::probe_speculative`]: a sibling probe is launched as a
-//! [`SpeculativeProbe`] handle before the blocking probe, then either
-//! consumed with [`Prober::wait_probe`] or discarded with
-//! [`Prober::cancel_probe`] when the parent's answer (or the Fig. 2
-//! deduction) makes it moot.
-//!
-//! # Determinism contract
-//!
-//! The default trait implementations make speculation a no-op: the
-//! handle defers the probe and `wait_probe` evaluates it inline, at
-//! exactly the sequence point where the sequential code probed. A
-//! sequential prober (`--jobs 1`) therefore observes the *identical*
-//! probe order the seed driver issued, and every strategy's final
-//! decision sequence is a pure function of probe outcomes — parallel
-//! probers that answer probes deterministically (the driver's compile +
-//! VM pipeline is deterministic) produce identical decisions at any job
-//! count.
+//! Each strategy is a sequential walk: which vector it probes next
+//! depends on the outcomes of the probes before it, and every probe
+//! runs inline through [`Prober::probe`]. The probe order and the final
+//! decision sequence are therefore pure functions of the probe outcomes.
 
 use crate::sequence::Decisions;
 
@@ -50,18 +32,6 @@ pub struct ProbeOutcome {
     pub unique: u64,
 }
 
-/// A probe that may be evaluated concurrently with the caller.
-/// Obtained from [`Prober::probe_speculative`]; must be settled by
-/// exactly one of [`Prober::wait_probe`] / [`Prober::cancel_probe`].
-#[derive(Debug)]
-pub struct SpeculativeProbe {
-    /// The decision vector the probe evaluates.
-    pub decisions: Decisions,
-    /// Executor ticket when the probe really runs in the background;
-    /// `None` means deferred — evaluated inline on `wait_probe`.
-    pub ticket: Option<u64>,
-}
-
 /// Something that can compile + test a decision source (the driver).
 pub trait Prober {
     /// Compile with `d`, run, verify.
@@ -72,35 +42,10 @@ pub trait Prober {
     /// Records a test skipped thanks to the deduction rule.
     fn note_deduced(&mut self);
 
-    /// Unread by both strategies, which speculate exactly one sibling
-    /// per blocking probe whenever [`Prober::probe_speculative`] runs
-    /// in the background. Kept only so existing implementors compile;
-    /// removed together with them.
+    /// Unread by both strategies. Kept until the benchmark harness
+    /// stops implementing it.
     fn speculate_depth(&self) -> u32 {
         1
-    }
-
-    /// Starts evaluating `d` concurrently, if this prober can. The
-    /// default defers: no work happens until [`Prober::wait_probe`],
-    /// which preserves the sequential probe order exactly.
-    fn probe_speculative(&mut self, d: &Decisions) -> SpeculativeProbe {
-        SpeculativeProbe {
-            decisions: d.clone(),
-            ticket: None,
-        }
-    }
-
-    /// Blocks until the speculative probe's outcome is available.
-    /// Deferred handles are evaluated inline here.
-    fn wait_probe(&mut self, h: SpeculativeProbe) -> ProbeOutcome {
-        debug_assert!(h.ticket.is_none(), "ticketed handle without an executor");
-        self.probe(&h.decisions)
-    }
-
-    /// Abandons a speculative probe; its verdict is never consumed.
-    /// The default is a no-op (nothing was started).
-    fn cancel_probe(&mut self, h: SpeculativeProbe) {
-        let _ = h;
     }
 }
 
@@ -142,21 +87,12 @@ pub fn chunked(p: &mut dyn Prober) -> Decisions {
             seq: prefix.clone(),
             tail: true,
         };
-        // If the optimistic probe fails we immediately need the tail
-        // length under a pessimistic tail — overlap that measurement
-        // with the optimistic probe.
-        let tail_spec = p.probe_speculative(&Decisions::Explicit {
-            seq: prefix.clone(),
-            tail: false,
-        });
         if p.probe(&optimistic_rest).pass {
-            p.cancel_probe(tail_spec);
             return optimistic_rest;
         }
         if p.budget_exceeded() {
             // Conservative finish: everything undecided stays
             // pessimistic (always verifies).
-            p.cancel_probe(tail_spec);
             return Decisions::Explicit {
                 seq: prefix,
                 tail: false,
@@ -164,7 +100,10 @@ pub fn chunked(p: &mut dyn Prober) -> Decisions {
         }
         // Number of queries beyond the prefix when the tail is answered
         // pessimistically (always a passing configuration).
-        let o = p.wait_probe(tail_spec);
+        let o = p.probe(&Decisions::Explicit {
+            seq: prefix.clone(),
+            tail: false,
+        });
         let n = o.unique.saturating_sub(prefix.len() as u64);
         let before = prefix.len();
         if n == 0 {
@@ -174,7 +113,7 @@ pub fn chunked(p: &mut dyn Prober) -> Decisions {
             prefix.push(false);
             continue;
         }
-        decide_range(p, &mut prefix, n, false, None);
+        decide_range(p, &mut prefix, n, false);
         if prefix.len() == before {
             prefix.push(false); // forced progress (should not happen)
         }
@@ -184,32 +123,16 @@ pub fn chunked(p: &mut dyn Prober) -> Decisions {
 /// Decides (approximately) the next `h` queries after `prefix`, leaving
 /// everything beyond pessimistic. `known_fail` says the all-optimistic
 /// test for this range is already known to fail (deduction).
-/// `prelaunched` optionally carries a speculative probe of exactly this
-/// range's all-optimistic configuration, started by the caller.
-fn decide_range(
-    p: &mut dyn Prober,
-    prefix: &mut Vec<bool>,
-    h: u64,
-    known_fail: bool,
-    prelaunched: Option<SpeculativeProbe>,
-) {
+fn decide_range(p: &mut dyn Prober, prefix: &mut Vec<bool>, h: u64, known_fail: bool) {
     if h == 0 {
-        if let Some(s) = prelaunched {
-            p.cancel_probe(s);
-        }
         return;
     }
     if p.budget_exceeded() {
         // Undecided ⇒ pessimistic.
-        if let Some(s) = prelaunched {
-            p.cancel_probe(s);
-        }
         prefix.extend(std::iter::repeat_n(false, h as usize));
         return;
     }
-    let mut half_spec: Option<SpeculativeProbe> = None;
     if known_fail {
-        debug_assert!(prelaunched.is_none());
         p.note_deduced();
     } else {
         let mut seq = prefix.clone();
@@ -218,40 +141,18 @@ fn decide_range(
             seq: seq.clone(),
             tail: false,
         };
-        // If this range fails, the first thing the recursion probes is
-        // the earlier half — launch that sibling speculatively before
-        // blocking on the full range.
-        if h > 1 {
-            let mut half = prefix.clone();
-            half.extend(std::iter::repeat_n(true, (h / 2) as usize));
-            half_spec = Some(p.probe_speculative(&Decisions::Explicit {
-                seq: half,
-                tail: false,
-            }));
-        }
-        let outcome = match prelaunched {
-            Some(s) => {
-                debug_assert_eq!(s.decisions, d);
-                p.wait_probe(s)
-            }
-            None => p.probe(&d),
-        };
-        if outcome.pass {
-            if let Some(s) = half_spec {
-                p.cancel_probe(s);
-            }
+        if p.probe(&d).pass {
             *prefix = seq;
             return;
         }
     }
     if h == 1 {
-        debug_assert!(half_spec.is_none());
         prefix.push(false);
         return;
     }
     let h1 = h / 2;
     let before = prefix.len();
-    decide_range(p, prefix, h1, false, half_spec);
+    decide_range(p, prefix, h1, false);
     let consumed = (prefix.len() - before) as u64;
     // The query space shifts as decisions change; re-measure how much
     // of the original range remains (the paper's "the bisection
@@ -260,7 +161,7 @@ fn decide_range(
     // Fig. 2 deduction: a clean first half means the danger is in the
     // second half — skip its all-optimistic test.
     let first_half_clean = prefix[before..].iter().all(|&b| b);
-    decide_range(p, prefix, h2, first_half_clean, None);
+    decide_range(p, prefix, h2, first_half_clean);
 }
 
 /// Frequency-space bisection.
@@ -282,13 +183,6 @@ pub fn frequency_space(p: &mut dyn Prober) -> Decisions {
             finalized.push((m, r));
             continue;
         }
-        // The split probes depend only on the measurement probe's
-        // decision vectors, not its outcome — launch both siblings
-        // speculatively before blocking on the measurement.
-        let c1 = (2 * m, r);
-        let c2 = (2 * m, r + m);
-        let spec1 = p.probe_speculative(&ctx(&[c1], &finalized, &work));
-        let spec2 = p.probe_speculative(&ctx(&[c2], &finalized, &work));
         // Measure the current query count with this class pessimistic.
         let o = p.probe(&ctx(&[(m, r)], &finalized, &work));
         if o.pass {
@@ -301,24 +195,20 @@ pub fn frequency_space(p: &mut dyn Prober) -> Decisions {
             n.saturating_sub(r).div_ceil(m)
         };
         if class_size <= 1 {
-            p.cancel_probe(spec1);
-            p.cancel_probe(spec2);
             finalized.push((m, r));
             continue;
         }
-        let o1 = p.wait_probe(spec1);
-        if o1.pass {
+        let c1 = (2 * m, r);
+        let c2 = (2 * m, r + m);
+        if p.probe(&ctx(&[c1], &finalized, &work)).pass {
             last_passing = ctx(&[c1], &finalized, &work);
             // All dangers of (m, r) live in c1; c2 is clean. The
-            // c2-only test would fail — deduced, not run: cancelling
-            // the speculative sibling *is* the Fig. 2 deduction here.
-            p.cancel_probe(spec2);
+            // c2-only test would fail — deduced, not run.
             p.note_deduced();
             work.push(c1);
             continue;
         }
-        let o2 = p.wait_probe(spec2);
-        if o2.pass {
+        if p.probe(&ctx(&[c2], &finalized, &work)).pass {
             last_passing = ctx(&[c2], &finalized, &work);
             work.push(c2);
         } else {

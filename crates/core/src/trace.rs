@@ -11,7 +11,7 @@
 //! * `exe-cache` — a bit-identical recompilation reused a prior verdict
 //!   (the seed driver's executable-hash cache);
 //! * `dec-cache` — an identical decision vector skipped even the
-//!   recompile (the decisions-digest cache, parallel driver only);
+//!   recompile (the decisions-digest cache);
 //! * `store` — the persistent verdict store (`oraql-store`, enabled
 //!   with `--store`) answered from a previous process's work;
 //! * `server` — the shared verdict server (`oraql-served`, enabled
@@ -20,12 +20,14 @@
 //!
 //! # Determinism contract
 //!
-//! With `--jobs 1` the event *sequence* is deterministic and reproduces
-//! the seed driver's probe order exactly. With `--jobs N` events from
-//! speculative probes interleave in scheduling order; the
-//! `speculative` flag and per-case `seq` numbers let consumers
-//! reconstruct per-case order. Wall-clock fields are the only
-//! inherently non-reproducible values.
+//! Each case's event sequence is deterministic and reproduces the seed
+//! driver's probe order exactly. With `--jobs N` the events of cases
+//! probed at once interleave in scheduling order; the per-case `seq`
+//! numbers reconstruct each case's order. Wall-clock fields are the
+//! only inherently non-reproducible values.
+//!
+//! Older traces carry an extra `"speculative"` key on every line; the
+//! parser ignores it.
 //!
 //! The format is line-delimited JSON with a fixed key set (no external
 //! serialization crates in this hermetic build — the writer and parser
@@ -60,13 +62,8 @@ pub enum ProbeKind {
     /// sandbox exhausted its retries (or hit corruption) and degraded
     /// to the pessimistic may-alias verdict (`pass = false`).
     Faulted,
-    /// A speculative probe that was cancelled *after* it had already
-    /// been dequeued: the compile (and possibly the run) happened, but
-    /// no waiter consumed the verdict. Emitted in addition to the
-    /// probe's ordinary answer event when the probe ran to completion
-    /// unobserved, or on its own when the cancellation landed between
-    /// the compile and the test execution — either way the event makes
-    /// the wasted work visible to `oraql trace`.
+    /// Never emitted: probes are no longer speculative, so none is
+    /// cancelled. Kept until the benchmark harness stops reading it.
     Cancelled,
 }
 
@@ -118,8 +115,6 @@ pub struct ProbeEvent {
     /// Unique ORAQL queries observed by that compilation (0 when the
     /// compile was skipped).
     pub unique: u64,
-    /// Was this probe launched speculatively for a bisection sibling?
-    pub speculative: bool,
     /// Wall time spent answering, in microseconds.
     pub wall_micros: u64,
 }
@@ -132,13 +127,12 @@ impl ProbeEvent {
         s.push_str(&escape_json(&self.case));
         let _ = write!(
             s,
-            "\",\"seq\":{},\"digest\":{},\"kind\":\"{}\",\"pass\":{},\"unique\":{},\"speculative\":{},\"wall_micros\":{}}}",
+            "\",\"seq\":{},\"digest\":{},\"kind\":\"{}\",\"pass\":{},\"unique\":{},\"wall_micros\":{}}}",
             self.seq,
             self.digest,
             self.kind.as_str(),
             self.pass,
             self.unique,
-            self.speculative,
             self.wall_micros
         );
         s
@@ -159,7 +153,6 @@ impl ProbeEvent {
             kind: ProbeKind::parse(&json_str(line, "kind")?)?,
             pass: json_bool(line, "pass")?,
             unique: json_u64(line, "unique")?,
-            speculative: json_bool(line, "speculative")?,
             wall_micros: json_u64(line, "wall_micros")?,
         })
     }
@@ -262,7 +255,6 @@ mod tests {
             kind,
             pass: seq.is_multiple_of(2),
             unique: 42,
-            speculative: seq == 1,
             wall_micros: 1234,
         }
     }
@@ -286,6 +278,10 @@ mod tests {
             let line = ev.to_jsonl();
             assert_eq!(ProbeEvent::parse_jsonl(&line), Some(ev), "{line}");
         }
+        // An older line with a `speculative` key parses; the key is dropped.
+        let old = r#"{"case":"x","seq":3,"digest":7,"kind":"executed","pass":true,"unique":4,"speculative":true,"wall_micros":9}"#;
+        let back = ProbeEvent::parse_jsonl(old).expect("older line parses");
+        assert_eq!(back.to_jsonl(), old.replace(r#""speculative":true,"#, ""));
     }
 
     #[test]

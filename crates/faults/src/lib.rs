@@ -77,9 +77,6 @@ pub enum FaultSite {
     /// A store append bit-flips one payload byte (silent disk rot,
     /// caught by the journal checksum on the next open).
     StoreWriteBitFlip,
-    /// A worker-pool job panics before running its probe (poisoned
-    /// worker).
-    WorkerPoison,
     /// The server drops the connection instead of answering a request
     /// (mid-exchange RST as seen by the client).
     ConnReset,
@@ -107,7 +104,7 @@ pub enum FaultSite {
 
 /// All sites, in wire order. Index into this array is the site's
 /// stable id (used for counters and sub-seed derivation).
-pub const SITES: [FaultSite; 17] = [
+pub const SITES: [FaultSite; 16] = [
     FaultSite::CompilePanic,
     FaultSite::VmTrap,
     FaultSite::VmFuelLie,
@@ -117,7 +114,6 @@ pub const SITES: [FaultSite; 17] = [
     FaultSite::StoreReadCorrupt,
     FaultSite::StoreWriteTorn,
     FaultSite::StoreWriteBitFlip,
-    FaultSite::WorkerPoison,
     FaultSite::ConnReset,
     FaultSite::FrameTorn,
     FaultSite::FrameGarble,
@@ -140,7 +136,6 @@ impl FaultSite {
             FaultSite::StoreReadCorrupt => "store-read-corrupt",
             FaultSite::StoreWriteTorn => "store-write-torn",
             FaultSite::StoreWriteBitFlip => "store-write-bitflip",
-            FaultSite::WorkerPoison => "worker-poison",
             FaultSite::ConnReset => "conn-reset",
             FaultSite::FrameTorn => "frame-torn",
             FaultSite::FrameGarble => "frame-garble",
@@ -392,9 +387,9 @@ impl FaultInjector {
     }
 }
 
-/// Panic payload used by every injected panic (probe compile, worker
-/// poison), so `catch_unwind` consumers can distinguish chaos from
-/// genuine bugs via `payload.downcast_ref::<InjectedPanic>()`.
+/// Panic payload used by every injected panic, so `catch_unwind`
+/// consumers can distinguish chaos from genuine bugs via
+/// `payload.downcast_ref::<InjectedPanic>()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectedPanic(pub &'static str);
 
@@ -443,6 +438,7 @@ mod tests {
         assert!(FaultPlan::parse("what").is_err());
         assert!(FaultPlan::parse("seed=abc").is_err());
         assert!(FaultPlan::parse("no-such-site=1/2").is_err());
+        assert!(FaultPlan::parse("worker-poison=1/2").is_err());
         assert!(FaultPlan::parse("vm-trap=0.5").is_err());
         assert!(FaultPlan::parse("vm-trap=1/x").is_err());
         // `0` disables, empty items are skipped.

@@ -7,7 +7,7 @@
 //!   paths cache them in `OnceLock`s and bump with one relaxed atomic
 //!   op — no map lookup, no lock.
 //! - Counters are sharded across cache-line-padded atomics indexed by
-//!   a cheap thread-local, so the probe pool's workers do not bounce
+//!   a cheap thread-local, so the threads of a suite run do not bounce
 //!   one cache line between cores.
 //! - Histograms bucket values by `64 - leading_zeros`, giving exact
 //!   powers of two as bucket bounds. Bucket merge is element-wise

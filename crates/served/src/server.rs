@@ -57,9 +57,9 @@
 //! # Concurrency contract
 //!
 //! * Acceptor threads share the listener via `try_clone`; each accepted
-//!   connection gets its own serving thread (thread-per-connection,
-//!   mirroring `crates/core/src/pool.rs`: named threads, an atomic
-//!   shutdown flag, handles joined on drop, poison-immune locks).
+//!   connection gets its own serving thread (thread-per-connection:
+//!   named threads, an atomic shutdown flag, handles joined on drop,
+//!   poison-immune locks).
 //! * Shard state is `RwLock` per shard: many concurrent readers, one
 //!   writer, no cross-shard lock is ever held — two ops deadlock-free
 //!   by construction.
@@ -841,8 +841,7 @@ pub struct Server {
     addr: Addr,
     /// Acceptors + the fsync thread + every live connection thread.
     /// Connection threads push here as they spawn, so shutdown pops
-    /// until empty (the pool.rs drop idiom) rather than iterating a
-    /// snapshot.
+    /// until empty rather than iterating a snapshot.
     handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
     down: bool,
 }

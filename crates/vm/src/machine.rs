@@ -41,8 +41,7 @@ pub struct MachineSummary {
 
 /// Why lowering a function failed. Lowering runs on every probe
 /// variant, including adversarially miscompiled ones, so structural
-/// problems must surface as errors rather than panics that would kill
-/// the driver's worker pool.
+/// problems must surface as errors rather than panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LowerError {
     /// Structurally malformed IR (out-of-range instruction or block

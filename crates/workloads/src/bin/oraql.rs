@@ -3,7 +3,7 @@
 //! ```text
 //! oraql --list
 //! oraql --benchmark <name> [--strategy chunked|frequency] [--dump]
-//!       [--jobs N] [--trace <file.jsonl>]
+//!       [--trace <file.jsonl>]
 //!       [--store <journal>] [--no-store]
 //!       [--server <addr>] [--no-server]
 //!       [--fault-plan <spec>] [--probe-deadline-ms N]
@@ -21,11 +21,12 @@
 //! effort, and (with `--dump`) the Fig. 3-style pessimistic-query
 //! report.
 //!
-//! `--jobs N` (default 1) bounds the probe concurrency: `1` probes
-//! inline; `N > 1` launches one speculative sibling per blocking probe
-//! and, with `--all`, runs up to `N` benchmarks at once. Every case of
-//! `--all` shares one in-memory verdict cache. `--trace` writes one
-//! JSONL event per probe answer and prints a per-case summary table.
+//! `--jobs N` (default 1, `--all` only) is the number of cases `--all`
+//! probes at once. Each case probes inline, one probe at a time, with
+//! its own in-memory verdict cache, so the report is the same at every
+//! job count; a slot with no case left to start builds modules ahead
+//! for the cases still running. `--trace` writes one JSONL event per
+//! probe answer and prints a per-case summary table.
 //!
 //! `--store <journal>` attaches the crash-safe persistent verdict store
 //! (`oraql-store`): probe verdicts are journaled across runs, so a warm
@@ -50,8 +51,8 @@
 //! `fault_plan =` / `probe_deadline_ms =` do the same; the CLI wins.
 //!
 //! `--metrics-out <path>` writes the process-wide metrics registry
-//! (counters, gauges, latency histograms from driver, VM, worker pool,
-//! store, and server client) as a Prometheus-style exposition at exit
+//! (counters, gauges, latency histograms from driver, VM, store, and
+//! server client) as a Prometheus-style exposition at exit
 //! and prints an additive `--- metrics ---` summary section rendered
 //! from the same snapshot. `--spans-out <path>` enables span tracing:
 //! one JSONL line per `case > probe > compile|vm|verify|store|server`
@@ -81,7 +82,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: oraql --list\n       \
          oraql --benchmark <name> [--strategy chunked|frequency] [--dump] [--max-tests N]\n                \
-         [--jobs N] [--trace <file.jsonl>]\n                \
+         [--trace <file.jsonl>]\n                \
          [--store <journal>] [--no-store]\n                \
          [--server <addr>] [--no-server]\n                \
          [--fault-plan <spec>] [--probe-deadline-ms N]\n                \
@@ -195,13 +196,7 @@ fn prepare_case(
 }
 
 /// Prints one driver result in the report format; returns the exit code.
-fn print_result(
-    name: &str,
-    r: &DriverResult,
-    jobs: usize,
-    dump: bool,
-    emit_sequence: Option<&str>,
-) -> i32 {
+fn print_result(name: &str, r: &DriverResult, dump: bool, emit_sequence: Option<&str>) -> i32 {
     let info = workloads::find_info(name);
     println!("== {name} ==");
     if let Some(i) = info {
@@ -229,18 +224,13 @@ fn print_result(
         r.no_alias_delta_percent()
     );
     println!(
-        "probing: {} compiles, {} tests run, {} cached, {} deduced",
-        r.effort.compiles, r.effort.tests_run, r.effort.tests_cached, r.effort.tests_deduced
+        "probing: {} compiles, {} tests run, {} cached, {} dec-cached, {} deduced",
+        r.effort.compiles,
+        r.effort.tests_run,
+        r.effort.tests_cached,
+        r.effort.tests_dec_cached,
+        r.effort.tests_deduced
     );
-    if jobs > 1 {
-        println!(
-            "parallel: {} dec-cached, {} speculative launched, {} cancelled, {} wasted",
-            r.effort.tests_dec_cached,
-            r.effort.spec_launched,
-            r.effort.spec_cancelled,
-            r.effort.spec_wasted
-        );
-    }
     if !r.failures.is_quiet() {
         // Sandbox events only happen under injected faults or genuine
         // probe crashes; the line is omitted on healthy runs so their
@@ -313,9 +303,8 @@ fn run_one(
     if gate {
         opts.ground_truth = truth;
     }
-    let jobs = opts.jobs;
     match Driver::run(&case, opts) {
-        Ok(r) => print_result(name, &r, jobs, dump, emit_sequence),
+        Ok(r) => print_result(name, &r, dump, emit_sequence),
         Err(e) => {
             eprintln!("{name}: driver failed: {e}");
             1
@@ -323,9 +312,9 @@ fn run_one(
     }
 }
 
-/// `--all`: every registered benchmark, sequential at `--jobs 1` and a
-/// bounded-concurrency suite (shared verdict cache + speculation pool)
-/// otherwise. Reports are printed in registry order either way.
+/// `--all`: every registered benchmark through one suite run, up to
+/// `--jobs` cases at once. Reports are printed in registry order and
+/// are the same at every job count.
 fn run_all(opts: &DriverOptions, dump: bool, cfg: Option<&Config>) -> i32 {
     let cases: Vec<TestCase> = workloads::CASE_INFOS
         .iter()
@@ -336,7 +325,7 @@ fn run_all(opts: &DriverOptions, dump: bool, cfg: Option<&Config>) -> i32 {
     for (case, result) in cases.iter().zip(&results) {
         match result {
             Ok(r) => {
-                worst = worst.max(print_result(&case.name, r, opts.jobs, dump, None));
+                worst = worst.max(print_result(&case.name, r, dump, None));
             }
             Err(e) => {
                 eprintln!("{}: driver failed: {e}", case.name);
@@ -384,6 +373,7 @@ fn main() {
     let mut metrics_out: Option<String> = None;
     let mut spans_out: Option<String> = None;
     let mut no_gate = false;
+    let mut jobs_given = false;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].clone();
@@ -415,6 +405,7 @@ fn main() {
                 opts.max_tests = parsed_flag(&args, &mut i, flag, "an integer probe budget");
             }
             "--jobs" | "-j" => {
+                jobs_given = true;
                 opts.jobs = parsed_flag(&args, &mut i, flag, "an integer >= 1");
                 if opts.jobs < 1 {
                     eprintln!("bad {flag}: expected an integer >= 1");
@@ -450,6 +441,11 @@ fn main() {
             }
         }
         i += 1;
+    }
+    if jobs_given && !all {
+        // One case probes inline: --jobs only means something for a suite.
+        eprintln!("--jobs applies to --all only");
+        usage()
     }
     opts.trace_passes = dump;
     let sink = trace_path.as_deref().map(|p| {
@@ -619,12 +615,6 @@ fn render_metrics_section(d: &oraql_obs::Snapshot) -> String {
         c("oraql_driver_funnel_vm_runs_total"),
     ));
     out.push_str(&format!(
-        "speculation: {} launched, {} cancelled, {} wasted\n",
-        c("oraql_driver_speculation_launched_total"),
-        c("oraql_driver_speculation_cancelled_total"),
-        c("oraql_driver_speculation_wasted_total"),
-    ));
-    out.push_str(&format!(
         "vm: {} runs, {} insts, {} fuel refunds, {} decode lowerings\n",
         c("oraql_vm_runs_total"),
         c("oraql_vm_insts_total"),
@@ -632,10 +622,7 @@ fn render_metrics_section(d: &oraql_obs::Snapshot) -> String {
         c("oraql_vm_decode_lowerings_total"),
     ));
     out.push_str(&format!(
-        "pool: {} jobs, {} panics, {} respawns | store: {} appends, {} fsyncs | retries {} quarantined {}\n",
-        c("oraql_pool_jobs_submitted_total"),
-        c("oraql_pool_panics_total"),
-        c("oraql_pool_respawns_total"),
+        "store: {} appends, {} fsyncs | retries {} quarantined {}\n",
         c("oraql_store_appends_total"),
         c("oraql_store_fsyncs_total"),
         c("oraql_driver_retries_total"),

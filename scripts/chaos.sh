@@ -5,9 +5,9 @@
 # fault-injection plan for a fixed seed matrix. At --jobs 1 the fault
 # stream is part of the run's definition, so two runs with the same
 # seed must produce byte-identical reports — including the sandbox
-# failure counters and the fault summary. A final --jobs 4 pass with
-# worker poisoning and a probe deadline is a completion/safety smoke
-# only (the fault stream interleaves across threads there).
+# failure counters and the fault summary. A final --jobs 4 pass with a
+# probe deadline is a completion/safety smoke only (the fault stream
+# interleaves across the cases probing at once there).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -28,11 +28,11 @@ for seed in 1 42 1337; do
     echo "chaos: seed=$seed deterministic"
 done
 
-# Parallel completion smoke: poisoned pool workers are respawned and
-# injected hangs are cut by the watchdog; the suite must still finish
-# with every case verified (non-zero exit otherwise).
+# Parallel completion smoke: four cases probe at once and injected
+# hangs are cut by the watchdog; the suite must still finish with every
+# case verified (non-zero exit otherwise).
 "$BIN" --all --jobs 4 \
-    --fault-plan "seed=7,compile-panic=1/12,vm-trap=1/16,worker-poison=1/6,probe-hang=1/64" \
+    --fault-plan "seed=7,compile-panic=1/12,vm-trap=1/16,probe-hang=1/64" \
     --probe-deadline-ms 500 > "$TMP/par.txt"
 grep -q '^--- fault injection' "$TMP/par.txt"
-echo "chaos: parallel poisoning smoke OK"
+echo "chaos: parallel smoke OK"

@@ -33,11 +33,10 @@ cargo test -q --offline --test served_roundtrip
 # agreement, span hierarchy, fig2-equals-CLI), likewise by name.
 cargo test -q --offline -p oraql-obs
 cargo test -q --offline --test obs_analyzer
-# The scheduler gates: decision agreement across job counts, chaos under
-# sibling speculation, and pool queue-depth gauge accounting, likewise
-# by name.
+# The suite-concurrency gates: byte-identical results across job counts
+# over all 16 configurations, chaos with four cases probed at once, and
+# total-failure quarantine, likewise by name.
 cargo test -q --offline --test sched_determinism
-cargo test -q --offline --test pool_shutdown
 # The workload generator's gates: plan/motif/corpus unit suites and the
 # end-to-end soundness gate (byte-identical regeneration, label/verdict
 # agreement across job counts, mislabel detection, chaos), by name.
@@ -109,5 +108,5 @@ target/release/oraql gen --plan "$GEN_PLAN" --run --jobs 4 \
     | grep -E 'suite: 64 ok, 0 failed'
 
 # Chaos smoke: the whole suite under a fixed fault-plan seed matrix,
-# byte-identical across two runs, plus a parallel poisoning pass.
+# byte-identical across two runs, plus a jobs-4 completion pass.
 sh scripts/chaos.sh

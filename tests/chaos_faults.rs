@@ -112,15 +112,15 @@ fn deadline_cuts_injected_hangs() {
     assert_verifies(&case, &r);
 }
 
-/// Full suite under a mixed plan at `jobs = 4`, worker poisoning
-/// included: every case completes, none is poisoned by a sibling, and
-/// every result verifies. (At `jobs > 1` the fault *stream* interleaves
-/// nondeterministically across threads, so this is a completion +
-/// safety check, not a byte-compare.)
+/// Suite under a uniform plan at `jobs = 4`: every case completes,
+/// none is poisoned by a sibling, and every result verifies. (At
+/// `jobs > 1` the fault *stream* interleaves nondeterministically
+/// across the cases probing at once, so this is a completion + safety
+/// check, not a byte-compare.)
 #[test]
-fn chaos_suite_completes_under_parallel_poisoning() {
+fn chaos_suite_completes_at_jobs_4() {
     quiet_injected_panics();
-    let plan = FaultPlan::uniform(11, 1, 9).with_rate(FaultSite::WorkerPoison, Rate::new(1, 4));
+    let plan = FaultPlan::uniform(11, 1, 9);
     let cases: Vec<_> = CASES
         .iter()
         .map(|n| workloads::find_case(n).expect(n))

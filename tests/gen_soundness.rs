@@ -1,7 +1,7 @@
 //! End-to-end soundness gate for generated corpora: the labels that
 //! `oraql-gen` constructs must agree with the verdicts the driver
 //! actually reaches, under every execution mode we ship — sequential,
-//! parallel + speculative, and chaos fault injection. The contract:
+//! several cases at once, and chaos fault injection. The contract:
 //!
 //! * same plan string → byte-identical corpus on disk,
 //! * every labelled violating pair ends pessimistic (zero entries in
@@ -71,10 +71,8 @@ fn same_plan_regenerates_a_byte_identical_corpus() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// Labels and verdicts agree at every job count. The exact optimism
-/// split can shift with scheduling
-/// (speculation warms different cache entries), but soundness cannot:
-/// violations stay empty and every violating-labelled pair is pinned.
+/// Labels and verdicts agree at every job count: violations stay empty
+/// and every violating-labelled pair is pinned.
 #[test]
 fn labels_agree_with_verdicts_across_jobs_and_depth() {
     let plan = GenPlan::parse(PLAN).unwrap();

@@ -16,7 +16,7 @@ use oraql_workloads as workloads;
 use oraql_workloads::analyze;
 
 /// A small but heterogeneous suite: plain, OpenMP, and a second
-/// benchmark family, so dec-cache and speculation tiers get exercised.
+/// benchmark family, so the dec-cache and exe-cache tiers get exercised.
 fn small_suite() -> Vec<TestCase> {
     ["testsnap", "testsnap_omp", "gridmini"]
         .iter()
@@ -62,10 +62,6 @@ fn kind_total(events: &[ProbeEvent]) -> u64 {
         ProbeKind::ServerHit,
         ProbeKind::Deduced,
         ProbeKind::Faulted,
-        // Not an answer: the waste marker for a speculative probe
-        // cancelled after its compile already ran. Counted so the
-        // conservation law below still covers every event.
-        ProbeKind::Cancelled,
     ]
     .iter()
     .map(|&k| events.iter().filter(|e| e.kind == k).count() as u64)
@@ -97,8 +93,7 @@ fn analyzer_aggregates_are_order_insensitive() {
 
 /// A `--jobs 4` trace obeys the same conservation laws as `--jobs 1`,
 /// and the two runs agree probe-by-probe on every decision digest they
-/// share: parallelism may change *who answers* (cache tier, speculative
-/// or not) but never *the answer*.
+/// share: running cases at once never changes *the answer*.
 #[test]
 fn parallel_trace_agrees_with_sequential_on_shared_digests() {
     let seq = traced_run(1, None);
@@ -107,14 +102,11 @@ fn parallel_trace_agrees_with_sequential_on_shared_digests() {
     // Funnel conservation: every probe is answered by exactly one tier.
     assert_eq!(kind_total(&seq), seq.len() as u64);
     assert_eq!(kind_total(&par), par.len() as u64);
-    // Sequential runs never speculate.
-    assert!(seq.iter().all(|e| !e.speculative));
 
-    // digest -> verdict maps (digest 0 is `deduced`, no vector;
-    // `cancelled` waste markers carry no trustworthy verdict).
+    // digest -> verdict maps (digest 0 is `deduced`, no vector).
     let verdicts = |evs: &[ProbeEvent]| -> BTreeMap<(String, u64), bool> {
         evs.iter()
-            .filter(|e| e.digest != 0 && e.kind != ProbeKind::Cancelled)
+            .filter(|e| e.digest != 0)
             .map(|e| ((e.case.clone(), e.digest), e.pass))
             .collect()
     };
@@ -129,10 +121,7 @@ fn parallel_trace_agrees_with_sequential_on_shared_digests() {
     // Within one run, a digest re-probed by any tier keeps its verdict.
     for evs in [&seq, &par] {
         let mut seen: BTreeMap<(String, u64), bool> = BTreeMap::new();
-        for e in evs
-            .iter()
-            .filter(|e| e.digest != 0 && e.kind != ProbeKind::Cancelled)
-        {
+        for e in evs.iter().filter(|e| e.digest != 0) {
             let prior = seen.insert((e.case.clone(), e.digest), e.pass);
             assert_eq!(prior.unwrap_or(e.pass), e.pass, "self-inconsistent trace");
         }

@@ -1,111 +1,89 @@
-//! Determinism of the parallel probing driver: `--jobs 1` and
-//! `--jobs N` must agree on the final decision sequence and the
-//! verification verdict on real workloads, and the trace/effort
-//! counters must stay internally consistent.
+//! Determinism across job counts: `run_suite` at `--jobs N` returns
+//! exactly what `--jobs 1` returns on real workloads (raw decisions,
+//! effort counters and verified output), and the probe trace stays
+//! consistent with the effort counters.
 
 use oraql::trace::TraceSink;
-use oraql::{Driver, DriverOptions, ProbeKind};
+use oraql::{run_suite, DriverOptions, DriverResult, ProbeKind};
 use oraql_workloads as workloads;
 
-fn run_with_jobs(name: &str, jobs: usize) -> oraql::DriverResult {
-    let case = workloads::find_case(name).expect(name);
-    Driver::run(
-        &case,
-        DriverOptions {
-            jobs,
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("{name} (jobs={jobs}): {e}"))
+/// Two workloads that genuinely bisect (not fully optimistic).
+const CASES: [&str; 2] = ["testsnap_omp", "xsbench"];
+
+fn suite(jobs: usize, trace: Option<TraceSink>) -> Vec<DriverResult> {
+    let cases: Vec<_> = CASES
+        .iter()
+        .map(|n| workloads::find_case(n).expect(n))
+        .collect();
+    let opts = DriverOptions {
+        jobs,
+        trace,
+        ..Default::default()
+    };
+    run_suite(&cases, &opts)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("jobs={jobs}: {e}")))
+        .collect()
 }
 
-/// Two workloads that genuinely bisect (not fully optimistic): the
-/// parallel driver must reproduce the sequential decisions and
-/// verdicts. Decisions are compared in canonical form: the sequential
-/// driver can append no-op trailing entries (its exe-cache quirk
-/// reports the first inserter's unique count), so the raw vectors may
-/// differ in semantically-irrelevant suffix length.
+/// Asserts two suite runs agree byte for byte on every case.
+fn assert_same(a: &[DriverResult], b: &[DriverResult], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}");
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(x.decisions, y.decisions, "{what}: {}", x.name);
+        assert_eq!(x.effort, y.effort, "{what}: {}", x.name);
+        assert_eq!(x.final_run.stdout, y.final_run.stdout, "{what}: {}", x.name);
+    }
+}
+
+/// Cases probed at once return exactly the sequential results: keys
+/// are salted with the case, so no case sees another's verdicts.
 #[test]
 fn parallel_jobs_match_sequential_on_workloads() {
-    for name in ["testsnap_omp", "xsbench"] {
-        let seq = run_with_jobs(name, 1);
-        let par = run_with_jobs(name, 4);
-        assert!(!seq.fully_optimistic, "{name}");
-        assert_eq!(
-            seq.decisions.canonical(),
-            par.decisions.canonical(),
-            "{name}"
-        );
-        assert_eq!(seq.fully_optimistic, par.fully_optimistic, "{name}");
-        assert_eq!(
-            seq.oraql.unique_pessimistic, par.oraql.unique_pessimistic,
-            "{name}"
-        );
-        assert_eq!(seq.final_run.stdout, par.final_run.stdout, "{name}");
-        // Speculation actually engaged in the parallel run.
-        assert!(par.effort.spec_launched > 0, "{name}: {:?}", par.effort);
+    let seq = suite(1, None);
+    assert!(seq.iter().all(|r| !r.fully_optimistic));
+    for jobs in [2, 4] {
+        assert_same(&seq, &suite(jobs, None), &format!("jobs {jobs}"));
     }
 }
 
-/// Parallel runs are deterministic run-to-run: probe outcomes are pure
-/// functions of the decision vector in parallel mode, so scheduling
-/// cannot change the bisection path.
+/// Parallel runs are repeatable run to run.
 #[test]
 fn parallel_runs_are_repeatable() {
-    let a = run_with_jobs("xsbench", 4);
-    let b = run_with_jobs("xsbench", 4);
-    assert_eq!(a.decisions, b.decisions);
-    assert_eq!(a.oraql.unique_pessimistic, b.oraql.unique_pessimistic);
-    assert_eq!(a.final_run.stdout, b.final_run.stdout);
+    assert_same(&suite(4, None), &suite(4, None), "jobs 4 twice");
 }
 
-/// `jobs = 1` is bit-stable run-to-run (same probes, same counters) —
-/// the "byte-for-byte reports" half of the determinism contract.
+/// `jobs = 1` is bit-stable run to run (same probes, same counters).
 #[test]
 fn sequential_runs_are_bit_stable() {
-    for name in ["testsnap_omp", "xsbench"] {
-        let a = run_with_jobs(name, 1);
-        let b = run_with_jobs(name, 1);
-        assert_eq!(a.decisions, b.decisions, "{name}");
-        assert_eq!(a.effort, b.effort, "{name}");
-        assert_eq!(a.final_run.stdout, b.final_run.stdout, "{name}");
-    }
+    assert_same(&suite(1, None), &suite(1, None), "jobs 1 twice");
 }
 
-/// The probe trace agrees with the effort counters in sequential mode
-/// and records speculative probes in parallel mode.
+/// At every job count each case's probe trace agrees with its effort
+/// counters.
 #[test]
 fn trace_is_consistent_with_effort() {
-    let case = workloads::find_case("testsnap_omp").expect("case");
-    let sink = TraceSink::in_memory();
-    let r = Driver::run(
-        &case,
-        DriverOptions {
-            trace: Some(sink.clone()),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let events = sink.events();
-    let count = |k: ProbeKind| events.iter().filter(|e| e.kind == k).count() as u64;
-    assert_eq!(count(ProbeKind::Executed), r.effort.tests_run);
-    assert_eq!(count(ProbeKind::ExeCacheHit), r.effort.tests_cached);
-    assert_eq!(count(ProbeKind::Deduced), r.effort.tests_deduced);
-    assert_eq!(
-        count(ProbeKind::DecisionCacheHit),
-        r.effort.tests_dec_cached
-    );
-
-    let par_sink = TraceSink::in_memory();
-    let r = Driver::run(
-        &case,
-        DriverOptions {
-            jobs: 4,
-            trace: Some(par_sink.clone()),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let events = par_sink.events();
-    assert!(events.iter().any(|e| e.speculative), "{:?}", r.effort);
+    for jobs in [1, 4] {
+        let sink = TraceSink::in_memory();
+        let results = suite(jobs, Some(sink.clone()));
+        let events = sink.events();
+        for r in &results {
+            let count = |k: ProbeKind| {
+                events
+                    .iter()
+                    .filter(|e| e.case == r.name && e.kind == k)
+                    .count() as u64
+            };
+            let e = &r.effort;
+            let what = format!("jobs {jobs}: {}", r.name);
+            assert_eq!(count(ProbeKind::Executed), e.tests_run, "{what}");
+            assert_eq!(count(ProbeKind::ExeCacheHit), e.tests_cached, "{what}");
+            assert_eq!(count(ProbeKind::Deduced), e.tests_deduced, "{what}");
+            assert_eq!(
+                count(ProbeKind::DecisionCacheHit),
+                e.tests_dec_cached,
+                "{what}"
+            );
+        }
+    }
 }
